@@ -1,10 +1,13 @@
 #include "src/core/profile.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace osprof {
 
@@ -143,6 +146,16 @@ ProfileSet ProfileSet::Parse(std::istream& is) {
     throw std::runtime_error("ProfileSet::Parse line " +
                              std::to_string(lineno) + ": " + msg);
   };
+  // A count is a plain unsigned decimal: no sign, no trailing characters.
+  auto parse_count = [&fail](const std::string& text) {
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      fail("not an unsigned decimal: '" + text + "'");
+    }
+    return value;
+  };
 
   while (std::getline(is, line)) {
     ++lineno;
@@ -177,7 +190,7 @@ ProfileSet ProfileSet::Parse(std::istream& is) {
           fail("malformed key=value: " + kv);
         }
         const std::string key = kv.substr(0, eq);
-        const std::uint64_t value = std::stoull(kv.substr(eq + 1));
+        const std::uint64_t value = parse_count(kv.substr(eq + 1));
         if (key == "recorded") {
           current_recorded = value;
         } else if (key == "total_latency") {
@@ -191,7 +204,7 @@ ProfileSet ProfileSet::Parse(std::istream& is) {
         fail("bucket outside profile block");
       }
       int index = 0;
-      std::uint64_t count = 0;
+      std::string count;
       if (!(ls >> index >> count)) {
         fail("malformed bucket line");
       }
@@ -199,13 +212,23 @@ ProfileSet ProfileSet::Parse(std::istream& is) {
       if (index < 0 || index >= h.num_buckets()) {
         fail("bucket index out of range");
       }
-      h.set_bucket(index, count);
+      h.set_bucket(index, parse_count(count));
     } else if (tok == "end") {
       if (current == kInvalidOpId) {
         fail("end outside profile block");
       }
-      set.ById(current).histogram().SetTotals(current_recorded,
-                                              current_total_latency);
+      Histogram& h = set.ById(current).histogram();
+      // `recorded` may differ from the bucket sum -- that is the lost-
+      // update checksum CheckConsistency reports -- but the sum itself
+      // must be representable.
+      std::uint64_t sum = 0;
+      for (int b = 0; b < h.num_buckets(); ++b) {
+        if (h.bucket(b) > UINT64_MAX - sum) {
+          fail("bucket counts overflow 64 bits");
+        }
+        sum += h.bucket(b);
+      }
+      h.SetTotals(current_recorded, current_total_latency);
       current = kInvalidOpId;
     } else {
       fail("unknown directive: " + tok);

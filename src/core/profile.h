@@ -197,7 +197,10 @@ class ProfileSet {
   // Text serialization.
   void Serialize(std::ostream& os) const;
   std::string ToString() const;
-  // Parses a serialized set; throws std::runtime_error on malformed input.
+  // Parses a serialized set; throws std::runtime_error on malformed input,
+  // including a count that is not a plain unsigned decimal or a profile
+  // whose bucket counts sum past 2^64 - 1.  A `recorded=` that disagrees
+  // with the buckets parses: CheckConsistency reports it.
   static ProfileSet Parse(std::istream& is);
   static ProfileSet ParseString(const std::string& text);
 

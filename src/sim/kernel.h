@@ -186,7 +186,7 @@ struct KernelMemoryStats {
   // deepest the queue has ever been.
   std::size_t run_queue_bytes = 0;
   std::size_t run_queue_peak_depth = 0;
-  // Calendar event queue: bucket arrays plus queued events.
+  // Radix-heap event queue: its bucket arrays, sized by capacity.
   std::size_t event_queue_bytes = 0;
   std::size_t events_pending = 0;
   // Request-context span arena: frame pool plus per-thread tops.

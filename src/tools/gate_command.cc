@@ -22,6 +22,7 @@
 #include "src/core/profile.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/flags.h"
 
 namespace ostools {
 namespace {
@@ -69,14 +70,6 @@ std::optional<Rater> RaterByName(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
-
 struct GateFlags {
   std::string scenario;
   std::string baseline_prefix;  // Empty -> tests/golden/<scenario>.
@@ -117,24 +110,15 @@ std::optional<GateFlags> ParseFlags(const std::vector<std::string>& args,
         flags.raters.push_back(*rater);
       }
     } else if (const auto v = FlagValue(arg, "--threshold=")) {
-      try {
-        flags.threshold = std::stod(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool gate: bad --threshold value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "gate", "--threshold", &flags.threshold, err)) {
         return std::nullopt;
       }
     } else if (const auto v = FlagValue(arg, "--trials=")) {
-      try {
-        flags.run.trials = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool gate: bad --trials value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "gate", "--trials", &flags.run.trials, err)) {
         return std::nullopt;
       }
     } else if (const auto v = FlagValue(arg, "--jobs=")) {
-      try {
-        flags.run.jobs = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool gate: bad --jobs value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "gate", "--jobs", &flags.run.jobs, err)) {
         return std::nullopt;
       }
     } else if (!arg.empty() && arg[0] == '-') {

@@ -12,6 +12,7 @@
 #include "src/core/layered.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/flags.h"
 
 namespace ostools {
 namespace {
@@ -23,14 +24,6 @@ constexpr const char* kLayersUsage =
     "  --jobs=J     worker threads; 0 = all hardware threads (default 1)\n"
     "  --json=FILE  write the osprof-layers-v1 JSON decomposition to FILE\n"
     "  --out=FILE   write the serialized .layers form (gate golden format)\n";
-
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
 
 osjson::Value LayersJson(const std::string& scenario, int trials,
                          const std::map<std::string,
@@ -89,17 +82,11 @@ int RunLayersCommand(const std::vector<std::string>& args, std::ostream& out,
   std::string out_path;
   for (const std::string& arg : args) {
     if (const auto v = FlagValue(arg, "--trials=")) {
-      try {
-        options.trials = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool layers: bad --trials value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "layers", "--trials", &options.trials, err)) {
         return 1;
       }
     } else if (const auto v = FlagValue(arg, "--jobs=")) {
-      try {
-        options.jobs = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool layers: bad --jobs value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "layers", "--jobs", &options.jobs, err)) {
         return 1;
       }
     } else if (const auto v = FlagValue(arg, "--json=")) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/lint/lint.h"
+#include "src/tools/flags.h"
 
 namespace ostools {
 namespace {
@@ -20,14 +21,6 @@ constexpr const char* kLintUsage =
     "  --json=FILE    write the osprof-lint-v1 report to FILE\n"
     "  --list-rules   print the rule names and exit\n"
     "suppress a finding with: // osprof-lint: allow(<rule>)\n";
-
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
 
 std::vector<std::string> SplitCommas(const std::string& list) {
   std::vector<std::string> out;

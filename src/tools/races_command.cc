@@ -8,6 +8,7 @@
 #include "src/core/jsonw.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/flags.h"
 
 namespace ostools {
 namespace {
@@ -24,14 +25,6 @@ constexpr const char* kRacesUsage =
     "  --jobs=J     worker threads (does not affect the report)\n"
     "  --json=FILE  write the osprof-races-v1 document to FILE\n";
 
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
-
 }  // namespace
 
 int RunRacesCommand(const std::vector<std::string>& args, std::ostream& out,
@@ -47,17 +40,11 @@ int RunRacesCommand(const std::vector<std::string>& args, std::ostream& out,
     if (const auto v = FlagValue(arg, "--json=")) {
       json_path = *v;
     } else if (const auto v = FlagValue(arg, "--trials=")) {
-      try {
-        run.trials = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool races: bad --trials value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "races", "--trials", &run.trials, err)) {
         return 1;
       }
     } else if (const auto v = FlagValue(arg, "--jobs=")) {
-      try {
-        run.jobs = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool races: bad --jobs value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "races", "--jobs", &run.jobs, err)) {
         return 1;
       }
     } else if (!arg.empty() && arg[0] == '-') {

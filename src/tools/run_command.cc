@@ -11,6 +11,7 @@
 #include "src/core/layered.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/flags.h"
 
 namespace ostools {
 namespace {
@@ -24,15 +25,6 @@ constexpr const char* kRunUsage =
     "  --out=PREFIX write each merged layer to PREFIX.<layer>.prof, plus\n"
     "               the layered decomposition to PREFIX.layers when any\n"
     "               layer recorded one\n";
-
-// Parses "--flag=value"; returns nullopt if arg doesn't start with prefix.
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
 
 int ListScenarios(std::ostream& out) {
   const osrunner::ScenarioRegistry& registry = osrunner::BuiltinScenarios();
@@ -57,17 +49,11 @@ int RunRunCommand(const std::vector<std::string>& args, std::ostream& out,
     if (arg == "--list") {
       return ListScenarios(out);
     } else if (const auto v = FlagValue(arg, "--trials=")) {
-      try {
-        options.trials = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool run: bad --trials value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "run", "--trials", &options.trials, err)) {
         return 1;
       }
     } else if (const auto v = FlagValue(arg, "--jobs=")) {
-      try {
-        options.jobs = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool run: bad --jobs value '" << *v << "'\n";
+      if (!ParseNumberFlag(*v, "run", "--jobs", &options.jobs, err)) {
         return 1;
       }
     } else if (const auto v = FlagValue(arg, "--out=")) {

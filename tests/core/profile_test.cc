@@ -89,6 +89,29 @@ TEST(ProfileSet, ParseRejectsMalformedInput) {
                std::runtime_error);  // Unterminated block.
   EXPECT_THROW(ProfileSet::ParseString("profile x\nbucket 9999 1\nend\n"),
                std::runtime_error);  // Bucket out of range.
+  // Counts must be plain unsigned decimals: a sign would wrap, and
+  // trailing characters would silently truncate.
+  EXPECT_THROW(ProfileSet::ParseString("profile x recorded=-1\nend\n"),
+               std::runtime_error);
+  EXPECT_THROW(
+      ProfileSet::ParseString("profile x total_latency=12abc\nend\n"),
+      std::runtime_error);
+  EXPECT_THROW(ProfileSet::ParseString("profile x recorded=\nend\n"),
+               std::runtime_error);
+  EXPECT_THROW(ProfileSet::ParseString("profile x\nbucket 1 -1\nend\n"),
+               std::runtime_error);
+  EXPECT_THROW(ProfileSet::ParseString("profile x\nbucket 1 3x\nend\n"),
+               std::runtime_error);
+  // 2^63 + 2^63 wraps a 64-bit bucket sum to 0.
+  EXPECT_THROW(ProfileSet::ParseString("profile x recorded=0\n"
+                                       "bucket 1 9223372036854775808\n"
+                                       "bucket 2 9223372036854775808\nend\n"),
+               std::runtime_error);
+  // A recorded= that disagrees with the buckets is the lost-update
+  // checksum: it parses, and CheckConsistency reports it.
+  EXPECT_FALSE(
+      ProfileSet::ParseString("profile x recorded=5\nbucket 1 3\nend\n")
+          .CheckConsistency());
 }
 
 TEST(ProfileSet, ParseIgnoresCommentsAndBlankLines) {

@@ -7,17 +7,15 @@
 #include <cstdio>
 #include <string>
 
+#include "tests/temp_dir.h"
+
 namespace osprofilers {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  const char* dir = ::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
-
 TEST(PosixProfiler, ProfilesRealSyscallLifecycle) {
   PosixProfiler prof;
-  const std::string path = TempPath("osprof_posix_test");
+  const ostest::TempDir tmp;
+  const std::string path = tmp.File("osprof_posix_test");
   const int fd = prof.Open(path, O_CREAT | O_RDWR | O_TRUNC, 0644);
   ASSERT_GE(fd, 0);
   char buf[512] = {};
@@ -50,13 +48,12 @@ TEST(PosixProfiler, ErrorsStillGetProfiled) {
 
 TEST(PosixProfiler, StatAndMkdirWrappers) {
   PosixProfiler prof;
-  const std::string dir = TempPath("osprof_posix_dir");
-  ::rmdir(dir.c_str());
+  const ostest::TempDir tmp;
+  const std::string dir = tmp.File("osprof_posix_dir");
   EXPECT_EQ(prof.Mkdir(dir, 0755), 0);
   struct stat st;
   EXPECT_EQ(prof.Stat(dir, &st), 0);
   EXPECT_TRUE(S_ISDIR(st.st_mode));
-  ::rmdir(dir.c_str());
   EXPECT_EQ(prof.profiles().Find("stat")->total_operations(), 1u);
   EXPECT_EQ(prof.profiles().Find("mkdir")->total_operations(), 1u);
 }
@@ -73,7 +70,8 @@ TEST(PosixProfiler, ManyZeroByteReadsProduceTightProfile) {
   // profile must be non-degenerate and consistent (no shape assertions --
   // host-dependent).
   PosixProfiler prof;
-  const std::string path = TempPath("osprof_zero_read");
+  const ostest::TempDir tmp;
+  const std::string path = tmp.File("osprof_zero_read");
   const int fd = prof.Open(path, O_CREAT | O_RDWR | O_TRUNC, 0644);
   ASSERT_GE(fd, 0);
   char c = 0;

@@ -3,13 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "src/core/profile.h"
+#include "tests/temp_dir.h"
 
 // Under AddressSanitizer the preload library links the asan runtime, and
 // injecting it into an uninstrumented system binary trips asan's
@@ -40,19 +40,14 @@ namespace {
 
 std::string PreloadPath() { return OSPROF_PRELOAD_PATH; }
 
-std::string TempPath(const std::string& name) {
-  const char* dir = ::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
-
 TEST(PreloadProfiler, ProfilesAnUnmodifiedBinary) {
   OSPROF_SKIP_IF_PRELOAD_INCOMPATIBLE();
   const std::string lib = PreloadPath();
   ASSERT_FALSE(lib.empty());
   ASSERT_EQ(::access(lib.c_str(), R_OK), 0) << lib;
 
-  const std::string out = TempPath("osprof_preload_test.prof");
-  std::remove(out.c_str());
+  const ostest::TempDir tmp;
+  const std::string out = tmp.File("osprof_preload_test.prof");
   const std::string cmd = "OSPROF_OUT=" + out + " LD_PRELOAD=" + lib +
                           " /bin/cat /etc/hostname > /dev/null 2>&1";
   ASSERT_EQ(std::system(cmd.c_str()), 0);
@@ -65,16 +60,15 @@ TEST(PreloadProfiler, ProfilesAnUnmodifiedBinary) {
   EXPECT_GT(set.Find("read")->total_operations(), 0u);
   EXPECT_GT(set.Find("read")->total_latency(), 0u);
   EXPECT_TRUE(set.CheckConsistency());
-  std::remove(out.c_str());
 }
 
 TEST(PreloadProfiler, DumpIsParseableAfterHeavyIo) {
   OSPROF_SKIP_IF_PRELOAD_INCOMPATIBLE();
   const std::string lib = PreloadPath();
   ASSERT_FALSE(lib.empty());
-  const std::string out = TempPath("osprof_preload_heavy.prof");
-  const std::string data = TempPath("osprof_preload_data");
-  std::remove(out.c_str());
+  const ostest::TempDir tmp;
+  const std::string out = tmp.File("osprof_preload_heavy.prof");
+  const std::string data = tmp.File("osprof_preload_data");
   // dd generates a long read/write stream through the hooks.
   const std::string cmd =
       "OSPROF_OUT=" + out + " LD_PRELOAD=" + lib +
@@ -86,8 +80,6 @@ TEST(PreloadProfiler, DumpIsParseableAfterHeavyIo) {
   const osprof::ProfileSet set = osprof::ProfileSet::Parse(in);
   ASSERT_NE(set.Find("write"), nullptr);
   EXPECT_GE(set.Find("write")->total_operations(), 200u);
-  std::remove(out.c_str());
-  std::remove(data.c_str());
 }
 
 }  // namespace

@@ -88,14 +88,20 @@ TEST(EventQueue, SchedulingIntoThePastThrows) {
   EXPECT_THROW(q.At(50, [] {}), std::logic_error);
 }
 
-// The calendar queue must be observationally identical to the
-// std::priority_queue scheduler it replaced: ascending `when`, ties in
-// ascending insertion order.  A reference model with exactly the old
-// comparator runs in lockstep over a million randomly seeded events --
-// timestamps drawn across twenty binary orders of magnitude (so day
-// buckets see dense ties, sparse far-future years, and everything
-// between), plus follow-up events scheduled mid-run the way simulated
-// threads schedule wakeups.
+// The event queue must be observationally identical to the
+// std::priority_queue scheduler the simulator started with: ascending
+// `when`, ties in ascending insertion order.  A reference model with
+// exactly that comparator runs in lockstep over a million randomly seeded
+// events -- timestamps drawn across twenty binary orders of magnitude (so
+// the radix buckets see dense ties, sparse far-future stretches, and
+// everything between), plus follow-up events scheduled mid-run the way
+// simulated threads schedule wakeups.
+//
+// The run is driven two ways: by RunAll, and in part by RunUntil slices at
+// random boundaries.  A slice that stops short of the next pending event
+// leaves now() at the boundary, and events scheduled in [boundary, next)
+// are legal there; RunUntil's peek must not have advanced the queue's
+// internal ordering base past them.
 TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
   struct Ref {
     Cycles when;
@@ -106,78 +112,98 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
-  std::priority_queue<Ref, std::vector<Ref>, LaterFirst> ref;
-
   constexpr int kInitialEvents = 1'000'000;
   constexpr int kFollowUps = 200'000;
+  constexpr int kSlices = 5'000;
 
-  EventQueue q;
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;  // Deterministic LCG.
-  const auto next_random = [&state] {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  };
-  std::uint64_t seq = 0;
-  std::uint64_t executed = 0;
-  std::uint64_t mismatches = 0;
-  int follow_ups_left = kFollowUps;
+  for (const bool sliced : {false, true}) {
+    SCOPED_TRACE(sliced ? "RunUntil slices, then RunAll" : "RunAll");
+    std::priority_queue<Ref, std::vector<Ref>, LaterFirst> ref;
+    EventQueue q;
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;  // Deterministic LCG.
+    const auto next_random = [&state] {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return state >> 33;
+    };
+    std::uint64_t seq = 0;
+    std::uint64_t executed = 0;
+    std::uint64_t mismatches = 0;
+    int follow_ups_left = kFollowUps;
 
-  std::function<void(Cycles)> schedule = [&](Cycles when) {
-    const std::uint64_t id = seq++;
-    ref.push(Ref{when, id});
-    q.At(when, [&, when, id] {
-      if (ref.empty() || ref.top().when != when || ref.top().seq != id) {
-        ++mismatches;
-      } else {
-        ref.pop();
+    std::function<void(Cycles)> schedule = [&](Cycles when) {
+      const std::uint64_t id = seq++;
+      ref.push(Ref{when, id});
+      q.At(when, [&, when, id] {
+        if (ref.empty() || ref.top().when != when || ref.top().seq != id) {
+          ++mismatches;
+        } else {
+          ref.pop();
+        }
+        ++executed;
+        if (follow_ups_left > 0 && (id & 3u) == 0) {
+          --follow_ups_left;
+          // Mixed-magnitude gap, sometimes exactly zero: a same-timestamp
+          // follow-up must still run after everything already queued for
+          // `now`.
+          const Cycles gap =
+              (id & 31u) == 0
+                  ? 0
+                  : next_random() & ((1ull << (8 + id % 21)) - 1);
+          schedule(q.now() + gap);
+        }
+      });
+    };
+
+    // Times come from a random walk of mixed-magnitude gaps: zero gaps
+    // make exact ties, small gaps make dense micro-bursts, 2^20-cycle
+    // jumps make sparse stretches -- the local-density shape a simulated
+    // kernel produces, at every magnitude.  The walk is then inserted in
+    // LCG-shuffled order so arrival order and time order are unrelated.
+    std::vector<Cycles> times(kInitialEvents);
+    Cycles t = 0;
+    for (int i = 0; i < kInitialEvents; ++i) {
+      t += next_random() & ((Cycles{1} << (i % 21)) - 1);
+      times[static_cast<std::size_t>(i)] = t;
+    }
+    for (std::size_t i = times.size() - 1; i > 0; --i) {
+      std::swap(times[i], times[next_random() % (i + 1)]);
+    }
+    for (const Cycles when : times) {
+      schedule(when);
+    }
+    std::uint64_t stopped_short = 0;
+    for (int slice = 0; sliced && slice < kSlices && !q.empty(); ++slice) {
+      const Cycles until =
+          q.now() + (next_random() & ((Cycles{1} << (next_random() % 28)) - 1));
+      q.RunUntil(until);
+      EXPECT_EQ(q.now(), until);
+      if (ref.empty()) {
+        continue;
       }
-      ++executed;
-      if (follow_ups_left > 0 && (id & 3u) == 0) {
-        --follow_ups_left;
-        // Mixed-magnitude gap, sometimes exactly zero: a same-timestamp
-        // follow-up must still run after everything already queued for
-        // `now`.
-        const Cycles gap =
-            (id & 31u) == 0
-                ? 0
-                : next_random() & ((1ull << (8 + id % 21)) - 1);
-        schedule(q.now() + gap);
+      const Cycles next = ref.top().when;
+      ASSERT_GT(next, until) << "RunUntil left a due event pending";
+      ++stopped_short;
+      schedule(until);
+      for (int k = 0; k < 3; ++k) {
+        schedule(until + next_random() % (next - until));
       }
-    });
-  };
+    }
+    q.RunAll();
 
-  // Times come from a random walk of mixed-magnitude gaps: zero gaps
-  // make exact ties, small gaps make dense micro-bursts, 2^20-cycle
-  // jumps make sparse stretches -- the local-density shape a simulated
-  // kernel produces, at every magnitude.  The walk is then inserted in
-  // LCG-shuffled order so arrival order and time order are unrelated.
-  std::vector<Cycles> times(kInitialEvents);
-  Cycles t = 0;
-  for (int i = 0; i < kInitialEvents; ++i) {
-    t += next_random() & ((Cycles{1} << (i % 21)) - 1);
-    times[static_cast<std::size_t>(i)] = t;
+    EXPECT_EQ(executed, seq);
+    EXPECT_GE(seq, static_cast<std::uint64_t>(kInitialEvents) + kFollowUps);
+    EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(stopped_short > 0, sliced);
   }
-  for (std::size_t i = times.size() - 1; i > 0; --i) {
-    std::swap(times[i], times[next_random() % (i + 1)]);
-  }
-  for (const Cycles when : times) {
-    schedule(when);
-  }
-  q.RunAll();
-
-  EXPECT_EQ(executed, static_cast<std::uint64_t>(kInitialEvents) + kFollowUps);
-  EXPECT_TRUE(ref.empty());
-  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(EventQueue, MillionSameTimestampEventsExtractLinearly) {
-  // Every event hashes to one day no matter the calendar width, the
-  // degenerate load PR 7 flagged: scan-on-extract rescanned the full
-  // million-entry day per event (~10^12 comparisons, hours).  The bucket
-  // flips to a min-heap past kHeapThreshold, so this must finish well
-  // inside the quick-tier timeout -- while preserving exact insertion
-  // order across the pileup and correct ordering for events scheduled
-  // after it.
+  // A million events on one timestamp all land in one bucket however the
+  // queue indexes time, so a queue that scans a bucket per extraction
+  // degenerates to ~10^12 comparisons here.  This must finish well inside
+  // the quick-tier timeout -- while preserving exact insertion order
+  // across the pileup and correct ordering for events scheduled after it.
   constexpr std::uint64_t kEvents = 1'000'000;
   constexpr Cycles kWhen = 123'456;
 
@@ -192,7 +218,7 @@ TEST(EventQueue, MillionSameTimestampEventsExtractLinearly) {
       ++executed;
     });
   }
-  // A straggler after the pileup, in the same bucket's next year.
+  // A straggler far after the pileup, in a much higher bucket.
   bool straggler_ran = false;
   q.At(kWhen + (Cycles{1} << 40), [&] {
     straggler_ran = executed == kEvents;

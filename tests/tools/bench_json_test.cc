@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/core/profile.h"
+#include "tests/temp_dir.h"
 
 namespace osbench {
 namespace {
@@ -20,16 +21,10 @@ namespace {
 class BenchJsonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const char* tmpdir = ::getenv("TMPDIR");
-    dir_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp");
-    ::setenv("OSPROF_BENCH_JSON_DIR", dir_.c_str(), 1);
+    ::setenv("OSPROF_BENCH_JSON_DIR", tmp_.path().c_str(), 1);
   }
 
-  void TearDown() override {
-    ::unsetenv("OSPROF_BENCH_JSON_DIR");
-    std::remove((dir_ + "/BENCH_unit_bench.json").c_str());
-    std::remove((dir_ + "/BENCH_unit_bench.fs.prof").c_str());
-  }
+  void TearDown() override { ::unsetenv("OSPROF_BENCH_JSON_DIR"); }
 
   static std::string Slurp(const std::string& path) {
     std::ifstream in(path);
@@ -38,7 +33,7 @@ class BenchJsonTest : public ::testing::Test {
     return buffer.str();
   }
 
-  std::string dir_;
+  const ostest::TempDir tmp_;
 };
 
 TEST_F(BenchJsonTest, WritesWellFormedReport) {
@@ -54,11 +49,11 @@ TEST_F(BenchJsonTest, WritesWellFormedReport) {
     set.Add("read", 1 << 10);
   }
   const std::string prof_path = report.WriteProfileSet(set, "fs");
-  EXPECT_EQ(prof_path, dir_ + "/BENCH_unit_bench.fs.prof");
+  EXPECT_EQ(prof_path, tmp_.File("BENCH_unit_bench.fs.prof"));
 
   EXPECT_EQ(report.Finish(), 0);
 
-  const std::string json = Slurp(dir_ + "/BENCH_unit_bench.json");
+  const std::string json = Slurp(tmp_.File("BENCH_unit_bench.json"));
   EXPECT_NE(json.find("\"schema\": \"osprof-bench-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"bench\": \"unit_bench\""), std::string::npos);
   EXPECT_NE(json.find("\"sim_cycles\": 1000000"), std::string::npos);
@@ -92,7 +87,7 @@ TEST_F(BenchJsonTest, ChecksFailedCountsOnlyFailures) {
   report.Check("a", true);
   report.Check("b", true);
   EXPECT_EQ(report.Finish(), 0);
-  const std::string json = Slurp(dir_ + "/BENCH_unit_bench.json");
+  const std::string json = Slurp(tmp_.File("BENCH_unit_bench.json"));
   EXPECT_NE(json.find("\"checks_failed\": 0"), std::string::npos);
 }
 

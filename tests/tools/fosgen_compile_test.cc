@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -14,6 +13,7 @@
 
 #include "src/core/profile.h"
 #include "src/tools/fosgen.h"
+#include "tests/temp_dir.h"
 
 namespace ostools {
 namespace {
@@ -21,11 +21,6 @@ namespace {
 #ifndef OSPROF_SOURCE_DIR
 #define OSPROF_SOURCE_DIR "."
 #endif
-
-std::string TempPath(const std::string& name) {
-  const char* dir = ::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
 
 // A miniature "file system" whose ops do measurable busy work, plus a
 // main() that exercises them and dumps the profiles.
@@ -80,9 +75,10 @@ TEST(FosgenCompile, InstrumentedSourceCompilesRunsAndProfiles) {
   const FosgenResult result = FosgenInstrument(kMockFs);
   ASSERT_EQ(result.instrumented.size(), 2u);
 
-  const std::string c_path = TempPath("osprof_fosgen_mockfs.c");
-  const std::string bin_path = TempPath("osprof_fosgen_mockfs");
-  const std::string out_path = TempPath("osprof_fosgen_mockfs.prof");
+  const ostest::TempDir tmp;
+  const std::string c_path = tmp.File("osprof_fosgen_mockfs.c");
+  const std::string bin_path = tmp.File("osprof_fosgen_mockfs");
+  const std::string out_path = tmp.File("osprof_fosgen_mockfs.prof");
   {
     std::ofstream out(c_path);
     // fsprof.h first (the instrumenter prepends its include; we inline
@@ -111,10 +107,6 @@ TEST(FosgenCompile, InstrumentedSourceCompilesRunsAndProfiles) {
   // fsync does 100x the work of open; its profile must sit to the right.
   EXPECT_GT(set.Find("fsync")->histogram().MeanLatency(),
             set.Find("open")->histogram().MeanLatency());
-
-  std::remove(c_path.c_str());
-  std::remove(bin_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 }  // namespace

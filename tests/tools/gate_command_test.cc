@@ -11,6 +11,7 @@
 
 #include "src/core/histogram.h"
 #include "src/core/profile.h"
+#include "tests/temp_dir.h"
 
 namespace ostools {
 namespace {
@@ -22,27 +23,6 @@ constexpr const char* kLayerSuffix = ".fs.prof";
 
 class GateCommandTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const char* tmpdir = ::getenv("TMPDIR");
-    base_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp");
-    // Suffix paths with the test name: ctest -jN runs cases of this
-    // fixture concurrently, and a shared prefix lets them clobber each
-    // other's baselines mid-gate.
-    const std::string tag =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    prefix_ = base_ + "/osprof_gate_golden_" + tag;
-    perturbed_prefix_ = base_ + "/osprof_gate_perturbed_" + tag;
-    json_path_ = base_ + "/osprof_gate_verdict_" + tag + ".json";
-  }
-
-  void TearDown() override {
-    std::remove((prefix_ + kLayerSuffix).c_str());
-    std::remove((prefix_ + ".layers").c_str());
-    std::remove((perturbed_prefix_ + kLayerSuffix).c_str());
-    std::remove((perturbed_prefix_ + ".layers").c_str());
-    std::remove(json_path_.c_str());
-  }
-
   // Copies one baseline file between the fixture's two prefixes.
   static void CopyFile(const std::string& from, const std::string& to) {
     std::ifstream in(from);
@@ -57,10 +37,10 @@ class GateCommandTest : public ::testing::Test {
     return RunGateCommand(args, out_, err_);
   }
 
-  std::string base_;
-  std::string prefix_;
-  std::string perturbed_prefix_;
-  std::string json_path_;
+  const ostest::TempDir tmp_;
+  const std::string prefix_ = tmp_.File("golden");
+  const std::string perturbed_prefix_ = tmp_.File("perturbed");
+  const std::string json_path_ = tmp_.File("verdict.json");
   std::ostringstream out_;
   std::ostringstream err_;
 };
@@ -69,6 +49,7 @@ TEST_F(GateCommandTest, UsageErrors) {
   EXPECT_EQ(Run({}), 1);
   EXPECT_NE(err_.str().find("usage:"), std::string::npos);
   EXPECT_EQ(Run({kScenario, "--threshold=abc"}), 1);
+  EXPECT_EQ(Run({kScenario, "--threshold=0.5x"}), 1);
   EXPECT_EQ(Run({kScenario, "--raters=emd,bogus"}), 1);
   EXPECT_NE(err_.str().find("unknown rater"), std::string::npos);
   EXPECT_EQ(Run({kScenario, "--trials=0"}), 1);

@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "src/core/profile.h"
 #include "src/core/sampling.h"
+#include "tests/temp_dir.h"
 
 namespace ostools {
 namespace {
@@ -15,10 +15,8 @@ namespace {
 class ProfileToolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const char* tmpdir = ::getenv("TMPDIR");
-    base_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp");
-    path_a_ = base_ + "/osprof_tool_a.prof";
-    path_b_ = base_ + "/osprof_tool_b.prof";
+    path_a_ = tmp_.File("osprof_tool_a.prof");
+    path_b_ = tmp_.File("osprof_tool_b.prof");
 
     osprof::ProfileSet a(1);
     for (int i = 0; i < 1'000; ++i) {
@@ -36,11 +34,6 @@ class ProfileToolTest : public ::testing::Test {
     WriteSet(path_b_, b);
   }
 
-  void TearDown() override {
-    std::remove(path_a_.c_str());
-    std::remove(path_b_.c_str());
-  }
-
   static void WriteSet(const std::string& path, const osprof::ProfileSet& s) {
     std::ofstream out(path);
     s.Serialize(out);
@@ -52,7 +45,7 @@ class ProfileToolTest : public ::testing::Test {
     return RunProfileTool(args, out_, err_);
   }
 
-  std::string base_;
+  const ostest::TempDir tmp_;
   std::string path_a_;
   std::string path_b_;
   std::ostringstream out_;
@@ -86,19 +79,18 @@ TEST_F(ProfileToolTest, RenderUnknownOpFails) {
 }
 
 TEST_F(ProfileToolTest, MissingFileFails) {
-  EXPECT_EQ(Run({"render", base_ + "/definitely_not_here.prof"}), 2);
+  EXPECT_EQ(Run({"render", tmp_.File("definitely_not_here.prof")}), 2);
   EXPECT_NE(err_.str().find("cannot open"), std::string::npos);
 }
 
 TEST_F(ProfileToolTest, MalformedFileFails) {
-  const std::string bad = base_ + "/osprof_tool_bad.prof";
+  const std::string bad = tmp_.File("osprof_tool_bad.prof");
   {
     std::ofstream out(bad);
     out << "this is not a profile\n";
   }
   EXPECT_EQ(Run({"render", bad}), 2);
   EXPECT_NE(err_.str().find("parse error"), std::string::npos);
-  std::remove(bad.c_str());
 }
 
 TEST_F(ProfileToolTest, RankOrdersByLatency) {
@@ -143,8 +135,8 @@ TEST_F(ProfileToolTest, CheckPassesConsistentSets) {
 
 TEST_F(ProfileToolTest, OutliersFlagsTheDeviantFile) {
   // Three healthy copies of set A, one deviant set B.
-  const std::string c = base_ + "/osprof_tool_c.prof";
-  const std::string d = base_ + "/osprof_tool_d.prof";
+  const std::string c = tmp_.File("osprof_tool_c.prof");
+  const std::string d = tmp_.File("osprof_tool_d.prof");
   osprof::ProfileSet healthy(1);
   for (int i = 0; i < 1'000; ++i) {
     healthy.Add("read", 100);
@@ -154,18 +146,15 @@ TEST_F(ProfileToolTest, OutliersFlagsTheDeviantFile) {
   EXPECT_EQ(Run({"outliers", path_a_, c, d, path_b_}), 0);
   EXPECT_NE(out_.str().find("OUTLIER"), std::string::npos);
   EXPECT_NE(out_.str().find("osprof_tool_b.prof"), std::string::npos);
-  std::remove(c.c_str());
-  std::remove(d.c_str());
 }
 
 TEST_F(ProfileToolTest, OutliersIdenticalFleetIsClean) {
-  const std::string c = base_ + "/osprof_tool_c.prof";
+  const std::string c = tmp_.File("osprof_tool_c.prof");
   osprof::ProfileSet healthy(1);
   healthy.Add("read", 100);
   WriteSet(c, healthy);
   EXPECT_EQ(Run({"outliers", c, c, c}), 0);
   EXPECT_NE(out_.str().find("no outliers"), std::string::npos);
-  std::remove(c.c_str());
 }
 
 TEST_F(ProfileToolTest, CompareIdenticalSetsSelectsNothing) {
@@ -174,7 +163,7 @@ TEST_F(ProfileToolTest, CompareIdenticalSetsSelectsNothing) {
 }
 
 TEST_F(ProfileToolTest, GridAndPlot3DRenderSampledFiles) {
-  const std::string path = base_ + "/osprof_tool_sampled.sprof";
+  const std::string path = tmp_.File("osprof_tool_sampled.sprof");
   osprof::SampledProfileSet sampled(1'000, 1);
   for (int i = 0; i < 500; ++i) {
     sampled.Add("read", 0, 128);
@@ -193,7 +182,6 @@ TEST_F(ProfileToolTest, GridAndPlot3DRenderSampledFiles) {
   EXPECT_NE(out_.str().find("Elapsed time"), std::string::npos);
   EXPECT_EQ(Run({"grid", path, "ghost"}), 0);  // Missing op: "(no data)".
   EXPECT_NE(out_.str().find("no data"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST_F(ProfileToolTest, CheckFlagsTamperedSets) {
@@ -205,14 +193,13 @@ TEST_F(ProfileToolTest, CheckFlagsTamperedSets) {
   const auto pos = text.find("recorded=1000");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 13, "recorded=1001");
-  const std::string tampered = base_ + "/osprof_tool_tampered.prof";
+  const std::string tampered = tmp_.File("osprof_tool_tampered.prof");
   {
     std::ofstream out(tampered);
     out << text;
   }
   EXPECT_EQ(Run({"check", tampered}), 2);
   EXPECT_NE(out_.str().find("BROKEN"), std::string::npos);
-  std::remove(tampered.c_str());
 }
 
 }  // namespace

@@ -5,27 +5,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "tests/temp_dir.h"
 
 namespace ostools {
 namespace {
 
 class RacesCommandTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const char* tmpdir = ::getenv("TMPDIR");
-    const std::string tag =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    json_path_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
-                 "/osprof_races_" + tag + ".json";
-  }
-
-  void TearDown() override { std::remove(json_path_.c_str()); }
-
   int Run(std::vector<std::string> args) {
     out_.str("");
     err_.str("");
@@ -39,7 +30,8 @@ class RacesCommandTest : public ::testing::Test {
     return buf.str();
   }
 
-  std::string json_path_;
+  const ostest::TempDir tmp_;
+  const std::string json_path_ = tmp_.File("races.json");
   std::ostringstream out_;
   std::ostringstream err_;
 };
@@ -51,6 +43,8 @@ TEST_F(RacesCommandTest, HelpAndUsageErrors) {
   EXPECT_NE(err_.str().find("usage:"), std::string::npos);
   EXPECT_EQ(Run({"race_fixture_counter", "--no-such-flag"}), 1);
   EXPECT_EQ(Run({"race_fixture_counter", "--trials=abc"}), 1);
+  EXPECT_EQ(Run({"race_fixture_counter", "--trials=1x"}), 1);
+  EXPECT_EQ(Run({"race_fixture_counter", "--jobs=1.5"}), 1);
   EXPECT_EQ(Run({"race_fixture_counter", "--trials=0"}), 1);
   EXPECT_EQ(Run({"two", "scenarios"}), 1);
 }
