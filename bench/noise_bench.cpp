@@ -5,35 +5,17 @@
 // bucket 16's exact mid-latency, so the prediction is free of
 // bucket-rounding error and the tolerance can stay tight.
 
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <variant>
 
 #include "bench/bench_util.h"
-#include "src/core/histogram.h"
 #include "src/core/preemption.h"
 #include "src/profilers/noise_profiler.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
 #include "src/sim/kernel.h"
-
-namespace {
-
-double PredictedPreemptions(const osrunner::Scenario& scenario,
-                            const osrunner::NoiseSpec& spec, int trials) {
-  if (spec.tasks <= scenario.kernel.num_cpus) {
-    return 0.0;  // No oversubscription, no waiting competitor (Eq. 3).
-  }
-  osprof::Histogram samples;
-  samples.set_bucket(osprof::BucketIndex(spec.burst),
-                     static_cast<std::uint64_t>(spec.tasks) * spec.samples *
-                         static_cast<std::uint64_t>(trials));
-  return osprof::ExpectedPreemptedRequests(
-      samples, static_cast<double>(scenario.kernel.quantum));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   osbench::Header("OS-noise profiling mode: Equation 3 validation (§3.3)");
@@ -70,13 +52,14 @@ int main(int argc, char** argv) {
   const osrunner::RunResult result = osrunner::RunScenario(*scenario, options);
   report.RecordRun(result);
   osbench::ShowRunSummary(result);
-  const double predicted =
-      PredictedPreemptions(*scenario, *spec, result.options.trials);
   const double measured =
       static_cast<double>(result.TotalCounter("noise_preemptions"));
-  const double rel_err =
-      predicted > 0.0 ? std::abs(measured - predicted) / predicted
-                      : (measured > 0.0 ? 1.0 : 0.0);
+  const osprof::NoisePreemptionCheck check = osprof::CheckNoisePreemptions(
+      spec->tasks, scenario->kernel.num_cpus,
+      spec->samples * static_cast<std::uint64_t>(result.options.trials),
+      spec->burst, static_cast<double>(scenario->kernel.quantum), measured);
+  const double predicted = check.predicted;
+  const double rel_err = check.rel_err;
   std::printf("  predicted %.1f forced preemptions, measured %.0f\n"
               "  rel err %.4f (tolerance %.2f); preempted samples surface "
               "near bucket %d\n",

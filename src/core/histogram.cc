@@ -1,8 +1,10 @@
 #include "src/core/histogram.h"
 
+#include <charconv>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <system_error>
 #include <unordered_map>
 
 namespace osprof {
@@ -43,6 +45,16 @@ std::vector<Cycles> BuildBucketBounds(int resolution) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> ParseCount(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 namespace internal {
 

@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/core/clock.h"
@@ -117,6 +119,12 @@ inline double BucketMidLatency(int bucket, int resolution = 1) {
   const double hi = std::exp2(static_cast<double>(bucket + 1) / resolution);
   return (lo + hi) / 2.0;
 }
+
+// Parses one count (a bucket count or a cycle sum) of the serialized
+// profile formats: a plain unsigned decimal, no sign and no trailing
+// characters.  Returns nullopt for anything else, including values that
+// overflow 64 bits.
+std::optional<std::uint64_t> ParseCount(std::string_view text);
 
 // A plain (single-writer) log-bucket histogram.
 class Histogram {

@@ -1,7 +1,9 @@
 #include "src/core/layered.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -160,6 +162,13 @@ std::map<std::string, LayeredProfileSet> ParseLayers(std::istream& is) {
     throw std::runtime_error("ParseLayers line " + std::to_string(lineno) +
                              ": " + msg);
   };
+  auto parse_count = [&fail](const std::string& text) {
+    const std::optional<std::uint64_t> value = ParseCount(text);
+    if (!value) {
+      fail("not an unsigned decimal: '" + text + "'");
+    }
+    return *value;
+  };
 
   while (std::getline(is, line)) {
     ++lineno;
@@ -179,7 +188,12 @@ std::map<std::string, LayeredProfileSet> ParseLayers(std::istream& is) {
           resolution < 1) {
         fail("malformed layer line");
       }
-      set = &out.emplace(name, LayeredProfileSet(resolution)).first->second;
+      const auto [it, inserted] =
+          out.emplace(name, LayeredProfileSet(resolution));
+      if (!inserted) {
+        fail("duplicate layer block: " + name);
+      }
+      set = &it->second;
     } else if (tok == "op") {
       if (set == nullptr || profile != nullptr) {
         fail("op outside layer block");
@@ -188,6 +202,9 @@ std::map<std::string, LayeredProfileSet> ParseLayers(std::istream& is) {
       if (!(ls >> name)) {
         fail("op line missing name");
       }
+      if (set->Find(name) != nullptr) {
+        fail("duplicate op block: " + name);
+      }
       profile = set->Slot(name);
     } else if (tok == "bucket") {
       if (profile == nullptr) {
@@ -195,15 +212,20 @@ std::map<std::string, LayeredProfileSet> ParseLayers(std::istream& is) {
       }
       int bucket = 0;
       std::string key;
+      std::string value;
       LayeredBucket data;
-      if (!(ls >> bucket >> key >> data.count) || key != "count" ||
-          bucket < 0) {
+      if (!(ls >> bucket >> key >> value) || key != "count" || bucket < 0) {
         fail("malformed bucket line");
       }
+      data.count = parse_count(value);
       for (int c = 0; c < kNumLayerComponents; ++c) {
-        if (!(ls >> key >> data.cycles[c]) || key != kComponentKeys[c]) {
+        if (!(ls >> key >> value) || key != kComponentKeys[c]) {
           fail("malformed component list");
         }
+        data.cycles[c] = parse_count(value);
+      }
+      if (ls >> key) {
+        fail("trailing token after component list: " + key);
       }
       profile->SetBucket(bucket, data);
     } else if (tok == "end") {

@@ -222,7 +222,9 @@ void SerializeLayers(const std::map<std::string, LayeredProfileSet>& layers,
 std::string LayersToString(
     const std::map<std::string, LayeredProfileSet>& layers);
 
-// Throws std::runtime_error on malformed input.
+// Throws std::runtime_error on malformed input: counts that are not plain
+// unsigned decimals, tokens after the component list, or a layer (or an
+// op within a layer) declared twice.
 std::map<std::string, LayeredProfileSet> ParseLayers(std::istream& is);
 std::map<std::string, LayeredProfileSet> ParseLayersString(
     const std::string& text);

@@ -1,6 +1,7 @@
 #include "src/core/preemption.h"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace osprof {
@@ -33,6 +34,25 @@ double ExpectedPreemptedRequests(const Histogram& profile, double quantum) {
     }
   }
   return expected;
+}
+
+NoisePreemptionCheck CheckNoisePreemptions(int tasks, int num_cpus,
+                                           std::uint64_t samples,
+                                           Cycles burst, double quantum,
+                                           double measured) {
+  NoisePreemptionCheck check;
+  if (tasks > num_cpus) {
+    Histogram profile;
+    profile.set_bucket(BucketIndex(burst),
+                       static_cast<std::uint64_t>(tasks) * samples);
+    check.predicted = ExpectedPreemptedRequests(profile, quantum);
+  }
+  if (check.predicted > 0.0) {
+    check.rel_err = std::abs(measured - check.predicted) / check.predicted;
+  } else if (measured > 0.0) {
+    check.rel_err = 1.0;
+  }
+  return check;
 }
 
 int PreemptionBucket(double quantum, int resolution) {

@@ -18,6 +18,9 @@
 #ifndef OSPROF_SRC_CORE_PREEMPTION_H_
 #define OSPROF_SRC_CORE_PREEMPTION_H_
 
+#include <cstdint>
+
+#include "src/core/clock.h"
 #include "src/core/histogram.h"
 
 namespace osprof {
@@ -37,6 +40,24 @@ double ForcedPreemptionProbability(const PreemptionParams& params);
 // n_b * BucketMid(b) / quantum.  This is the paper's "expected 388 +- 33%
 // elements in the 26th bucket" computation for Figure 3.
 double ExpectedPreemptedRequests(const Histogram& profile, double quantum);
+
+// Equation 3 applied to the OS-noise workload: `tasks` CPU-bound tasks on
+// `num_cpus` CPUs each record `samples` bursts of `burst` cycles.  Every
+// sample sits in the burst's bucket, so the prediction is
+// ExpectedPreemptedRequests over a histogram holding tasks * samples
+// records there.  The preemption term assumes a waiting competitor (a
+// quantum-expired task with an empty run queue is re-dispatched), so
+// without CPU oversubscription the model predicts zero.
+struct NoisePreemptionCheck {
+  double predicted = 0.0;  // Expected forced preemptions.
+  // |measured - predicted| / predicted; 1 when preemptions were measured
+  // where the model predicts none.
+  double rel_err = 0.0;
+};
+NoisePreemptionCheck CheckNoisePreemptions(int tasks, int num_cpus,
+                                           std::uint64_t samples,
+                                           Cycles burst, double quantum,
+                                           double measured);
 
 // The bucket where preempted requests surface: preemption adds a wait of
 // roughly one quantum, so floor(log2(Q)).

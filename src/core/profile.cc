@@ -1,13 +1,12 @@
 #include "src/core/profile.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
 
 namespace osprof {
 
@@ -146,15 +145,12 @@ ProfileSet ProfileSet::Parse(std::istream& is) {
     throw std::runtime_error("ProfileSet::Parse line " +
                              std::to_string(lineno) + ": " + msg);
   };
-  // A count is a plain unsigned decimal: no sign, no trailing characters.
   auto parse_count = [&fail](const std::string& text) {
-    std::uint64_t value = 0;
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end) {
+    const std::optional<std::uint64_t> value = ParseCount(text);
+    if (!value) {
       fail("not an unsigned decimal: '" + text + "'");
     }
-    return value;
+    return *value;
   };
 
   while (std::getline(is, line)) {

@@ -91,8 +91,8 @@ Scenario Fig07() {
 
 // The fig07 workload under its layered-decomposition name: identical
 // machine and seed, so profiles match fig07's byte for byte, but the name
-// advertises what `osprof_tool layers` shows -- which components each of
-// the four readdir peaks is made of.
+// advertises what the layered block of `osprof_tool run` shows -- which
+// components each of the four readdir peaks is made of.
 Scenario Fig07ReaddirPeaks() {
   Scenario s = Fig07();
   s.name = "fig07_readdir_peaks";
@@ -163,7 +163,7 @@ Scenario Scale1M() {
   s.kernel.num_cpus = 64;
   s.kernel.seed = 71;
   s.kernel.reap_finished = true;
-  s.track_races = false;  // Reaping reuses thread ids; see Scenario.
+  s.track_races = false;  // Dense per-thread clocks; see Scenario.
   s.profilers.per_cpu_shards = true;
   s.profilers.shard_epoch = osim::Cycles{1} << 24;
   TrafficSpec t;
@@ -242,7 +242,7 @@ Scenario ScaleSmoke() {
   s.kernel.num_cpus = 8;
   s.kernel.seed = 71;
   s.kernel.reap_finished = true;
-  s.track_races = false;  // Reaping reuses thread ids; see Scenario.
+  s.track_races = false;  // Dense per-thread clocks; see Scenario.
   s.profilers.per_cpu_shards = true;
   s.profilers.shard_epoch = osim::Cycles{1} << 22;
   TrafficSpec t;

@@ -173,10 +173,10 @@ struct Scenario {
   ProfilerSpec profilers;
   WorkloadSpec workload = GrepSpec{};
   // SimRace happens-before tracking (src/sim/race_tracker.h).  Free in
-  // simulated time, so profiles are byte-identical either way; the scale
-  // scenarios turn it off because thread reaping reuses ids faster than
-  // the per-task clocks can follow (and their hot paths should skip
-  // token capture anyway).
+  // simulated time, so profiles are byte-identical either way.  The scale
+  // scenarios turn it off for its host cost: thread ids stay monotonic
+  // under reaping, and each vector clock is a dense tid-indexed array, so
+  // clocks grow with every thread ever spawned.
   bool track_races = true;
 };
 

@@ -29,8 +29,8 @@
 // Reports name both racing accesses -- cell@function plus the profiled op
 // and its layer read off the kernel's RequestContext span stack -- and
 // dedupe by the (site, op) pair of both sides, so one racy loop yields
-// one report.  They surface through `osprof_tool races`, the gate's
-// [races] verdict, and the runner's race_* counters.
+// one report.  They surface through the `osprof_tool run` report, the
+// gate's [races] verdict, and the runner's race_* counters.
 //
 // Cost model (the LockOrderTracker contract): detection is plain C++
 // between awaits -- zero simulated time, so golden profiles are

@@ -1,7 +1,7 @@
 #include "src/tools/gate_command.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -15,7 +15,6 @@
 
 #include "src/core/analysis.h"
 #include "src/core/compare.h"
-#include "src/core/histogram.h"
 #include "src/core/jsonw.h"
 #include "src/core/layered.h"
 #include "src/core/preemption.h"
@@ -304,9 +303,9 @@ LayersVerdict ScoreLayersDecomposition(
 }
 
 // The §3.3 Equation 3 rater, checked only for noise scenarios: every
-// sample is one burst of NoiseSpec::burst CPU cycles, so a synthetic
-// histogram with all tasks * samples * trials records in the burst's
-// bucket feeds Equation 3's sum n_b * mid(b) / Q directly.  The default
+// sample is one burst of NoiseSpec::burst CPU cycles, so all
+// tasks * samples * trials records sit in the burst's bucket and feed
+// Equation 3's sum n_b * mid(b) / Q directly.  The default
 // burst is bucket 16's exact mid-latency, which makes the prediction free
 // of bucket-rounding error and lets the tolerance stay tight.
 struct NoiseVerdict {
@@ -328,25 +327,13 @@ NoiseVerdict ScoreNoiseEquation3(const osrunner::Scenario& scenario,
   }
   v.checked = true;
   v.tolerance = ns->eq3_tolerance;
-  // Equation 3's preemption term assumes a competitor is waiting; the sim
-  // (like a real scheduler) re-dispatches a quantum-expired thread when
-  // the run queue is empty.  With no CPU oversubscription the model
-  // therefore predicts zero forced preemptions.
-  if (ns->tasks > scenario.kernel.num_cpus) {
-    osprof::Histogram samples;
-    samples.set_bucket(
-        osprof::BucketIndex(ns->burst),
-        static_cast<std::uint64_t>(ns->tasks) * ns->samples *
-            static_cast<std::uint64_t>(trials));
-    v.predicted = osprof::ExpectedPreemptedRequests(
-        samples, static_cast<double>(scenario.kernel.quantum));
-  }
   v.measured = static_cast<double>(result.TotalCounter("noise_preemptions"));
-  if (v.predicted > 0.0) {
-    v.rel_err = std::abs(v.measured - v.predicted) / v.predicted;
-  } else if (v.measured > 0.0) {
-    v.rel_err = 1.0;  // Preemptions where the model predicts none.
-  }
+  const osprof::NoisePreemptionCheck check = osprof::CheckNoisePreemptions(
+      ns->tasks, scenario.kernel.num_cpus,
+      ns->samples * static_cast<std::uint64_t>(trials), ns->burst,
+      static_cast<double>(scenario.kernel.quantum), v.measured);
+  v.predicted = check.predicted;
+  v.rel_err = check.rel_err;
   return v;
 }
 

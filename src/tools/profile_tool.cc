@@ -14,10 +14,8 @@
 #include "src/core/report.h"
 #include "src/core/sampling.h"
 #include "src/tools/gate_command.h"
-#include "src/tools/layers_command.h"
 #include "src/tools/lint_command.h"
 #include "src/tools/noise_command.h"
-#include "src/tools/races_command.h"
 #include "src/tools/run_command.h"
 
 namespace ostools {
@@ -36,19 +34,15 @@ constexpr const char* kUsage =
     "  grid    <set.sprof> <op> [lo hi]     sampled-profile density grid\n"
     "  plot3d  <set.sprof> <op>             gnuplot script (Figure 9 style)\n"
     "  run     <scenario> [--trials=N] [--jobs=J] [--out=PREFIX]\n"
-    "                                       multi-trial scenario runner\n"
+    "                                       scenario report: profiles,\n"
+    "                                       layers, lock order, races\n"
     "  run     --list                       available scenarios\n"
     "  gate    <scenario> [--baseline=PREFIX] [--raters=emd,chi2,ops,latency]\n"
     "          [--threshold=X] [--trials=N] [--jobs=J] [--json=FILE]\n"
     "          [--update]                    profile-regression gate\n"
     "  gate    --list                       gateable scenarios\n"
-    "  layers  <scenario> [--trials=N] [--jobs=J] [--json=FILE] [--out=FILE]\n"
-    "                                       exact layered latency "
-    "decomposition\n"
     "  noise   [scenario]                   OS-noise tracer table + Eq.3 "
     "check\n"
-    "  races   <scenario> [--trials=N] [--jobs=J] [--json=FILE]\n"
-    "                                       SimRace data-race report\n"
     "  lint    [paths...] [--rules=r1,r2] [--json=FILE]\n"
     "                                       in-tree static analysis\n"
     "  lint    --list-rules                 lint rule names\n"
@@ -344,16 +338,8 @@ int RunProfileTool(const std::vector<std::string>& args, std::ostream& out,
     return RunGateCommand(
         std::vector<std::string>(args.begin() + 1, args.end()), out, err);
   }
-  if (cmd == "layers" && n >= 2) {
-    return RunLayersCommand(
-        std::vector<std::string>(args.begin() + 1, args.end()), out, err);
-  }
   if (cmd == "noise") {
     return RunNoiseCommand(
-        std::vector<std::string>(args.begin() + 1, args.end()), out, err);
-  }
-  if (cmd == "races") {
-    return RunRacesCommand(
         std::vector<std::string>(args.begin() + 1, args.end()), out, err);
   }
   if (cmd == "lint") {

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/core/clock.h"
 #include "src/core/layered.h"
@@ -24,7 +25,10 @@ constexpr const char* kRunUsage =
     "  --jobs=J     worker threads; 0 = all hardware threads (default 1)\n"
     "  --out=PREFIX write each merged layer to PREFIX.<layer>.prof, plus\n"
     "               the layered decomposition to PREFIX.layers when any\n"
-    "               layer recorded one\n";
+    "               layer recorded one\n"
+    "  Prints each layer's merged profile with its cross-trial dispersion,\n"
+    "  the layered latency decomposition, lock-order cycles and the\n"
+    "  SimRace data-race report.\n";
 
 int ListScenarios(std::ostream& out) {
   const osrunner::ScenarioRegistry& registry = osrunner::BuiltinScenarios();
@@ -128,14 +132,17 @@ int RunRunCommand(const std::vector<std::string>& args, std::ostream& out,
     }
   }
 
-  if (!out_prefix.empty()) {
-    std::map<std::string, osprof::LayeredProfileSet> layered;
-    for (const auto& [layer, lr] : result.layers) {
-      if (!lr.layered.empty()) {
-        layered.emplace(layer, lr.layered);
-      }
+  std::map<std::string, osprof::LayeredProfileSet> layered;
+  for (const auto& [layer, lr] : result.layers) {
+    if (!lr.layered.empty()) {
+      layered.emplace(layer, lr.layered);
     }
-    if (!layered.empty()) {
+  }
+  if (!layered.empty()) {
+    out << "\n[layers] decomposition merged over " << result.options.trials
+        << " trial(s):\n";
+    out << osprof::RenderLayers(layered);
+    if (!out_prefix.empty()) {
       const std::string path = out_prefix + ".layers";
       std::ofstream file(path);
       if (!file) {
@@ -145,6 +152,36 @@ int RunRunCommand(const std::vector<std::string>& args, std::ostream& out,
       osprof::SerializeLayers(layered, file);
       out << "wrote " << path << "\n";
     }
+  }
+
+  const std::vector<std::string> lock_cycles = result.LockCycles();
+  if (lock_cycles.empty()) {
+    out << "\n[lock-order] no deadlock-capable cycles\n";
+  } else {
+    out << "\n[lock-order] " << lock_cycles.size()
+        << " deadlock-capable cycle(s):\n";
+    for (const std::string& cycle : lock_cycles) {
+      out << "  " << cycle << "\n";
+    }
+  }
+
+  if (!scenario->track_races) {
+    out << "\n[races] SimRace tracking is off for this scenario\n";
+    return 0;
+  }
+  const std::vector<std::string> reports = result.RaceReports();
+  out << "\n[races] SimRace happens-before report:\n"
+      << result.options.trials << " trial(s), "
+      << result.TotalCounter("race_accesses_checked")
+      << " shared accesses checked across "
+      << result.TotalCounter("race_cells_tracked") << " cell(s)\n";
+  if (reports.empty()) {
+    out << "no data races\n";
+    return 0;
+  }
+  out << reports.size() << " data race(s):\n";
+  for (const std::string& report : reports) {
+    out << "  " << report << "\n";
   }
   return 0;
 }

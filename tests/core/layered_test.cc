@@ -116,6 +116,25 @@ TEST(LayeredSerializationTest, MalformedInputThrowsWithLineNumber) {
     EXPECT_NE(std::string(e.what()).find("4"), std::string::npos)
         << "message should carry the line number: " << e.what();
   }
+  // Counts are plain unsigned decimals, and a block cannot be redeclared
+  // (a second block would silently overwrite the first one's buckets).
+  const auto op = [](const std::string& count, const std::string& runq) {
+    return "op readdir\n  bucket 5 count " + count +
+           " self 1 fs 0 driver 0 net 0 lock 0 runq " + runq + "\nend op\n";
+  };
+  const auto layer = [](const std::string& ops) {
+    return "layer fs resolution 1\n" + ops + "end layer\n";
+  };
+  EXPECT_NO_THROW(ParseLayersString(layer(op("1", "7"))));
+  for (const std::string& bad : {
+           layer(op("-1", "7")),
+           layer(op("1", "7xyz")),
+           layer(op("1", "7 extra")),
+           layer(op("1", "7")) + layer(op("2", "7")),
+           layer(op("1", "7") + op("2", "7")),
+       }) {
+    EXPECT_THROW(ParseLayersString(bad), std::runtime_error) << bad;
+  }
 }
 
 TEST(LayeredRenderTest, StackedViewCarriesSharesAndLegend) {

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/profilers/callgraph_profiler.h"
@@ -250,6 +251,89 @@ TEST(RunCommandTest, ListAndErrorsAndSmoke) {
     EXPECT_NE(out.str().find("2 trial(s) on 2 job(s)"), std::string::npos);
     EXPECT_NE(out.str().find("clone"), std::string::npos);
   }
+}
+
+// `run` is the one scenario report: after the dispersion tables it prints
+// the layered decomposition, the lock-order cycles and the SimRace report
+// of the same result.
+class RunCommandReportTest : public ::testing::Test {
+ protected:
+  int Run(const std::vector<std::string>& args) {
+    out_.str("");
+    err_.str("");
+    std::vector<std::string> argv = {"run"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    return ostools::RunProfileTool(argv, out_, err_);
+  }
+  bool Printed(const std::string& text) const {
+    return out_.str().find(text) != std::string::npos;
+  }
+
+  std::ostringstream out_;
+  std::ostringstream err_;
+};
+
+TEST_F(RunCommandReportTest, RaceFixtureReportIsAttributed) {
+  ASSERT_EQ(Run({"race_fixture_counter"}), 0) << err_.str();
+  EXPECT_TRUE(Printed("[lock-order] no deadlock-capable cycles"));
+  EXPECT_TRUE(Printed("shared accesses checked"));
+  EXPECT_TRUE(Printed("data race(s):"));
+  // Attribution: the cell, the access site, and the profiled op.
+  EXPECT_TRUE(Printed("fixture.cell@RaceIncrementOnce"));
+  EXPECT_TRUE(Printed("op increment"));
+}
+
+TEST_F(RunCommandReportTest, ReadersFixtureRacesAcrossTrials) {
+  ASSERT_EQ(Run({"race_fixture_readers", "--trials=2"}), 0) << err_.str();
+  EXPECT_TRUE(Printed("2 trial(s), "));
+  EXPECT_TRUE(Printed("RaceScanOnce"));
+}
+
+TEST_F(RunCommandReportTest, LockedControlFixtureIsClean) {
+  ASSERT_EQ(Run({"race_control_locked"}), 0) << err_.str();
+  EXPECT_TRUE(Printed("no data races"));
+}
+
+TEST_F(RunCommandReportTest, PrintsTheLayeredDecomposition) {
+  ASSERT_EQ(Run({"fig07_readdir_peaks"}), 0) << err_.str();
+  EXPECT_TRUE(Printed("[layers] decomposition merged over 1 trial(s):\n"
+                      "layer fs (resolution 1)\n"));
+  EXPECT_TRUE(Printed("  readdir\n"));
+  EXPECT_TRUE(Printed("legend: "));
+}
+
+TEST_F(RunCommandReportTest, UntrackedScenarioSaysTrackingIsOff) {
+  ASSERT_EQ(Run({"scale_smoke"}), 0) << err_.str();
+  EXPECT_TRUE(Printed("[races] SimRace tracking is off for this scenario"));
+  EXPECT_FALSE(Printed("shared accesses checked"));
+}
+
+TEST_F(RunCommandReportTest, UsageErrorsExitOne) {
+  EXPECT_EQ(Run({}), 1);  // Missing scenario.
+  EXPECT_NE(err_.str().find("usage:"), std::string::npos);
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"race_fixture_counter", "--no-such-flag"},
+           {"race_fixture_counter", "--trials=abc"},
+           {"race_fixture_counter", "--trials=1x"},
+           {"race_fixture_counter", "--jobs=1.5"},
+           {"race_fixture_counter", "--trials=0"},
+           {"two", "scenarios"},
+       }) {
+    EXPECT_EQ(Run(args), 1) << args.back();
+  }
+}
+
+TEST_F(RunCommandReportTest, UnknownScenarioListsTheAvailableOnes) {
+  EXPECT_EQ(Run({"no_such_scenario"}), 1);
+  EXPECT_NE(err_.str().find("unknown scenario 'no_such_scenario'"),
+            std::string::npos);
+  EXPECT_NE(err_.str().find("race_fixture_counter"), std::string::npos);
+}
+
+TEST_F(RunCommandReportTest, UnwritableOutPrefixIsARuntimeError) {
+  EXPECT_EQ(Run({"race_control_locked", "--out=/no/such/dir/run"}), 2);
+  EXPECT_NE(err_.str().find("cannot write"), std::string::npos);
 }
 
 }  // namespace

@@ -4,13 +4,17 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/histogram.h"
 #include "src/core/profile.h"
+#include "src/runner/scenario.h"
 #include "tests/temp_dir.h"
 
 namespace ostools {
@@ -268,6 +272,41 @@ TEST_F(GateCommandTest, RacesVerdictCoversFixturesCleanRunsAndOptOut) {
   EXPECT_EQ(Run({kScenario, "--baseline=" + golden_dir + kScenario}), 0)
       << out_.str() << err_.str();
   EXPECT_NE(out_.str().find("[races] no data races"), std::string::npos);
+}
+
+// Every registered scenario is gated -- it has a committed
+// tests/golden/<name>.<layer>.prof -- or is exempt for a stated reason.
+TEST(GateCoverageTest, EveryScenarioIsGatedOrExempt) {
+  const std::map<std::string, std::string> exempt = {
+      {"scale_1m",
+       "minutes of wall clock; perfbench byte-compares its registered-seed "
+       "output with perfbench/reference/scale_1m.* on every run"},
+  };
+  std::set<std::string> gated;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(OSPROF_SOURCE_DIR) + "/tests/golden")) {
+    const std::string file = entry.path().filename().string();
+    if (entry.path().extension() == ".prof") {
+      gated.insert(file.substr(0, file.find('.')));
+    }
+  }
+  const std::vector<std::string> names = osrunner::BuiltinScenarios().Names();
+  for (const std::string& name : names) {
+    const auto it = exempt.find(name);
+    if (it == exempt.end()) {
+      EXPECT_EQ(gated.count(name), 1u)
+          << name << " has no tests/golden/" << name
+          << ".*.prof; generate it with `osprof_tool gate " << name
+          << " --update` or exempt it here with a reason";
+    } else {
+      EXPECT_EQ(gated.count(name), 0u)
+          << name << " is exempt (" << it->second << ") but has a golden";
+    }
+  }
+  for (const auto& [name, reason] : exempt) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << "exempt scenario " << name << " is not registered";
+  }
 }
 
 }  // namespace
