@@ -7,6 +7,7 @@
 // corresponding numbers for this implementation's data structures and a
 // live profile set captured from a grep run.
 
+#include <cstdint>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -15,6 +16,7 @@
 #include "src/core/profile.h"
 #include "src/core/sampling.h"
 #include "src/fs/ext2fs.h"
+#include "src/net/cifs.h"
 #include "src/profilers/sim_profiler.h"
 #include "src/sim/disk.h"
 #include "src/sim/kernel.h"
@@ -80,6 +82,47 @@ int main() {
   report.AddSimCycles(kernel.now());
   report.AddOps(set.TotalOperations());
   report.Metric("resident_profile_bytes", static_cast<double>(resident));
+
+  osbench::Section("SimRace clocks stay small under server-thread churn");
+  {
+    // Figure 10's grep over CIFS with race tracking on: every request
+    // spawns a short-lived server thread, and exited threads' clock slots
+    // are recycled, so every clock stays two slots wide.  The bulk of the
+    // bytes is one clock per server-side inode lock (~1,800 x 8 B), which
+    // does not grow with the thread count.
+    osim::KernelConfig ccfg;
+    ccfg.num_cpus = 4;
+    ccfg.seed = 77;
+    osim::Kernel ckernel(ccfg);
+    ckernel.races().set_enabled(true);
+    osim::SimDisk cdisk(&ckernel);
+    osfs::Ext2SimFs server_fs(&ckernel, &cdisk);
+    osworkloads::TreeSpec cspec;
+    cspec.top_dirs = 6;
+    cspec.subdirs_per_dir = 2;
+    cspec.depth = 1;
+    cspec.files_per_dir = 100;
+    cspec.median_file_bytes = 30'000;
+    osworkloads::BuildSourceTree(&server_fs, "/export", cspec);
+    osnet::CifsMount mount(&ckernel, &server_fs, osnet::CifsConfig{});
+    osworkloads::GrepStats cstats;
+    ckernel.Spawn("grep", osworkloads::GrepWorkload(&ckernel, &mount,
+                                                    "/export", 0.5, &cstats));
+    ckernel.RunUntilThreadsFinish();
+    const osim::KernelMemoryStats mem = ckernel.MemoryStats();
+    const std::uint64_t server_threads = mem.spawned_threads - 1;
+    std::printf("  server threads: %llu; SimRace clock memory: %zu B  %s\n",
+                static_cast<unsigned long long>(server_threads),
+                mem.race_clock_bytes,
+                report.Check("simrace_clocks_bounded",
+                             mem.race_clock_bytes <= 16 * 1024 &&
+                                 server_threads > 1000)
+                    ? "HOLDS (<= 16 KiB)"
+                    : "differs");
+    report.Metric("simrace_clock_bytes",
+                  static_cast<double>(mem.race_clock_bytes));
+    report.Metric("cifs_server_threads", static_cast<double>(server_threads));
+  }
 
   osbench::Section("Sampled (3-D) profiles stay small too (Figure 9 mode)");
   osprof::SampledProfileSet sampled(1'000'000, 1);

@@ -174,9 +174,12 @@ struct Scenario {
   WorkloadSpec workload = GrepSpec{};
   // SimRace happens-before tracking (src/sim/race_tracker.h).  Free in
   // simulated time, so profiles are byte-identical either way.  The scale
-  // scenarios turn it off for its host cost: thread ids stay monotonic
-  // under reaping, and each vector clock is a dense tid-indexed array, so
-  // clocks grow with every thread ever spawned.
+  // scenarios turn it off for two measured reasons.  Tracked, they report
+  // data races on ext2.next_alloc@AllocateBlocks and page_cache.pages
+  // (11 in scale_smoke, 12 in scale_1m), and fixing those changes
+  // simulated timing.  And scale_1m keeps ~9,600 sessions live at once,
+  // so every clock is that many slots wide: a tracked trial takes ~13x
+  // its untracked host time (41 s vs 3.1 s on a 4-core Xeon).
   bool track_races = true;
 };
 

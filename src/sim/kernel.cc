@@ -349,6 +349,7 @@ KernelMemoryStats Kernel::MemoryStats() const {
   stats.events_pending = events_.size();
   stats.context_bytes = context_.ApproxBytes();
   stats.context_pool_frames = context_.pool_frames();
+  stats.race_clock_bytes = race_tracker_.ClockBytes();
   return stats;
 }
 

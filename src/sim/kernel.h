@@ -192,10 +192,13 @@ struct KernelMemoryStats {
   // Request-context span arena: frame pool plus per-thread tops.
   std::size_t context_bytes = 0;
   std::size_t context_pool_frames = 0;
+  // SimRace vector clocks (RaceTracker::ClockBytes); 0 when tracking is
+  // off.
+  std::size_t race_clock_bytes = 0;
 
   std::size_t TotalBytes() const {
     return thread_bytes + run_queue_bytes + event_queue_bytes +
-           context_bytes;
+           context_bytes + race_clock_bytes;
   }
 };
 

@@ -1,6 +1,7 @@
 #include "src/sim/race_tracker.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/sim/kernel.h"
 #include "src/sim/request_context.h"
@@ -48,21 +49,37 @@ void RaceTracker::Join(VectorClock& into, const VectorClock& from) {
   }
 }
 
-RaceTracker::VectorClock& RaceTracker::ClockOf(int tid) {
-  const auto index = static_cast<std::size_t>(tid);
-  if (index >= clocks_.size()) {
-    clocks_.resize(index + 1);
+std::uint32_t RaceTracker::SlotOf(int tid) {
+  const auto t = static_cast<std::size_t>(tid);
+  if (t < slot_of_.size() && slot_of_[t] != kNoSlot) {
+    return slot_of_[t];
   }
-  VectorClock& c = clocks_[index];
-  if (index >= c.size()) {
-    c.resize(index + 1, 0);
+  return Claim(tid, {});  // Every free slot has a final epoch >= 1.
+}
+
+std::uint32_t RaceTracker::Claim(int tid, VectorClock base) {
+  auto slot = static_cast<std::uint32_t>(clocks_.size());
+  for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
+    if (it->slot < base.size() && base[it->slot] >= it->final_epoch) {
+      slot = it->slot;
+      free_.erase(std::next(it).base());
+      break;
+    }
   }
-  if (c[index] == 0) {
-    // First sighting (a task spawned before the tracker was enabled):
-    // seed its epoch so accesses are distinguishable from "never ran".
-    c[index] = 1;
+  if (slot == clocks_.size()) {
+    clocks_.emplace_back();
   }
-  return c;
+  if (slot >= base.size()) {
+    base.resize(slot + 1, 0);
+  }
+  ++base[slot];
+  clocks_[slot] = std::move(base);
+  const auto t = static_cast<std::size_t>(tid);
+  if (t >= slot_of_.size()) {
+    slot_of_.resize(t + 1, kNoSlot);
+  }
+  slot_of_[t] = slot;
+  return slot;
 }
 
 void RaceTracker::KernelClockInto(VectorClock& out) const {
@@ -78,63 +95,68 @@ void RaceTracker::SpawnSlow(int parent, int child) {
   }
   VectorClock base;
   if (parent >= 0) {
-    VectorClock& p = ClockOf(parent);
-    base = p;
+    const std::uint32_t p = SlotOf(parent);
+    base = clocks_[p];
     // The spawn is a send: the parent's later work is not ordered before
     // anything the child does.
-    ++p[static_cast<std::size_t>(parent)];
+    ++clocks_[p][p];
   } else {
     // Kernel/host context: the child inherits everything that finished
     // plus whatever completion history was adopted around this callback.
     KernelClockInto(base);
   }
-  VectorClock& c = ClockOf(child);
-  Join(c, base);
+  // The kernel spawns every task under a fresh id, so the child has no
+  // slot yet.
+  Claim(child, std::move(base));
 }
 
 void RaceTracker::ExitSlow(int tid) {
-  if (static_cast<std::size_t>(tid) < clocks_.size()) {
-    Join(root_, clocks_[static_cast<std::size_t>(tid)]);
+  const auto t = static_cast<std::size_t>(tid);
+  if (t >= slot_of_.size() || slot_of_[t] == kNoSlot) {
+    return;
   }
+  const std::uint32_t slot = slot_of_[t];
+  slot_of_[t] = kNoSlot;
+  Join(root_, clocks_[slot]);
+  free_.push_back({slot, clocks_[slot][slot]});
+  clocks_[slot] = VectorClock();
 }
 
 void RaceTracker::WakeSlow(int waker, int wakee) {
   if (wakee < 0) {
     return;
   }
-  VectorClock& c = ClockOf(wakee);
+  const std::uint32_t e = SlotOf(wakee);
   if (waker >= 0) {
-    VectorClock& w = ClockOf(waker);
-    Join(c, w);
-    ++w[static_cast<std::size_t>(waker)];
+    const std::uint32_t w = SlotOf(waker);
+    Join(clocks_[e], clocks_[w]);
+    ++clocks_[w][w];
   } else {
-    VectorClock base;
-    KernelClockInto(base);
-    Join(c, base);
+    KernelClockInto(clocks_[e]);
   }
 }
 
 void RaceTracker::AcquireSlow(const void* lock, int tid) {
   auto it = locks_.find(lock);
   if (it != locks_.end()) {
-    Join(ClockOf(tid), it->second);
+    Join(clocks_[SlotOf(tid)], it->second);
   }
 }
 
 void RaceTracker::ReleaseSlow(const void* lock, int tid) {
-  VectorClock& c = ClockOf(tid);
-  Join(locks_[lock], c);
-  ++c[static_cast<std::size_t>(tid)];
+  const std::uint32_t s = SlotOf(tid);
+  Join(locks_[lock], clocks_[s]);
+  ++clocks_[s][s];
 }
 
 RaceClock RaceTracker::CaptureSlow() {
   const int tid = CurrentTid();
   if (tid >= 0) {
-    VectorClock& c = ClockOf(tid);
-    RaceClock token = c;
+    const std::uint32_t s = SlotOf(tid);
+    RaceClock token = clocks_[s];
     // The capture is a send: post-submit work must not look ordered
     // before the completion that adopts this token.
-    ++c[static_cast<std::size_t>(tid)];
+    ++clocks_[s][s];
     return token;
   }
   // Kernel context (a completion chaining into another submit): forward
@@ -144,19 +166,18 @@ RaceClock RaceTracker::CaptureSlow() {
   return token;
 }
 
-bool RaceTracker::OrderedBefore(const RaceAccess& access, int tid,
-                                const VectorClock& now) {
-  if (access.tid == tid) {
-    return true;  // Program order.
+bool RaceTracker::OrderedBefore(const RaceAccess& access,
+                                std::uint32_t slot, const VectorClock& now) {
+  if (access.slot == slot) {
+    return true;  // Program order: a slot's owners run one after another.
   }
-  const auto index = static_cast<std::size_t>(access.tid);
-  return index < now.size() && access.clock <= now[index];
+  return access.slot < now.size() && access.clock <= now[access.slot];
 }
 
-RaceAccess RaceTracker::MakeAccess(int tid, const char* func,
-                                   bool is_write) const {
+RaceAccess RaceTracker::MakeAccess(int tid, std::uint32_t slot,
+                                   const char* func, bool is_write) const {
   RaceAccess access;
-  access.tid = tid;
+  access.slot = slot;
   access.clock = 0;  // Filled by the caller from the task's own epoch.
   access.is_write = is_write;
   access.func = func;
@@ -195,16 +216,17 @@ void RaceTracker::OnSharedAccess(RaceCellState* cell, const char* cell_name,
   }
   ++accesses_checked_;
 
-  const VectorClock& now = ClockOf(tid);
-  RaceAccess current = MakeAccess(tid, func, is_write);
-  current.clock = now[static_cast<std::size_t>(tid)];
+  const std::uint32_t slot = SlotOf(tid);
+  const VectorClock& now = clocks_[slot];
+  RaceAccess current = MakeAccess(tid, slot, func, is_write);
+  current.clock = now[slot];
 
-  if (cell->has_write && !OrderedBefore(cell->last_write, tid, now)) {
+  if (cell->has_write && !OrderedBefore(cell->last_write, slot, now)) {
     Report(cell_name, cell->last_write, current);
   }
   if (is_write) {
     for (const RaceAccess& read : cell->reads) {
-      if (!OrderedBefore(read, tid, now)) {
+      if (!OrderedBefore(read, slot, now)) {
         Report(cell_name, read, current);
       }
     }
@@ -213,9 +235,9 @@ void RaceTracker::OnSharedAccess(RaceCellState* cell, const char* cell_name,
     cell->reads.clear();
     return;
   }
-  // A read: remember the latest read per thread since the last write.
+  // A read: remember the latest read per slot since the last write.
   for (RaceAccess& read : cell->reads) {
-    if (read.tid == tid) {
+    if (read.slot == slot) {
       read = current;
       return;
     }
@@ -232,8 +254,26 @@ std::vector<std::string> RaceTracker::ReportDescriptions() const {
   return out;
 }
 
+std::size_t RaceTracker::ClockBytes() const {
+  std::size_t words = root_.capacity();
+  for (const VectorClock& c : clocks_) {
+    words += c.capacity();
+  }
+  for (const VectorClock& c : adopted_) {
+    words += c.capacity();
+  }
+  for (const auto& [lock, c] : locks_) {
+    words += c.capacity();
+  }
+  return words * sizeof(std::uint32_t) +
+         clocks_.capacity() * sizeof(VectorClock) +
+         free_.capacity() * sizeof(FreeSlot);
+}
+
 void RaceTracker::Reset() {
+  slot_of_.clear();
   clocks_.clear();
+  free_.clear();
   root_.clear();
   adopted_.clear();
   locks_.clear();

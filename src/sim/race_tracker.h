@@ -36,12 +36,23 @@
 // between awaits -- zero simulated time, so golden profiles are
 // byte-identical with tracking on or off.  Disabled, every hook is one
 // inline flag test and Capture returns an empty token without touching
-// the heap; the scale scenarios additionally run with tracking off so
-// their callback hot paths skip token capture entirely.
+// the heap.  Enabled, clocks have one component per *slot*, and the
+// slots of exited tasks are recycled, so a join or capture costs the
+// tasks alive at once, not every task ever spawned (a CIFS grep's
+// thousands of short-lived server threads share two slots).
+//
+// Slot reuse invariant: a task takes over an exited task's slot only
+// when its starting clock covers that task's final epoch (the previous
+// owner's whole history happens-before it), and continues the slot's
+// epochs past it.  Sharing a slot thus implies program order, and every
+// ordering answer equals a tracker with one component per task.  Cells
+// keep the latest read per slot, as FastTrack keeps one per thread: a
+// write that races with an earlier owner's read races with it too.
 
 #ifndef OSPROF_SRC_SIM_RACE_TRACKER_H_
 #define OSPROF_SRC_SIM_RACE_TRACKER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -61,12 +72,12 @@ class RequestContext;
 // Empty when the tracker is disabled.
 using RaceClock = std::vector<std::uint32_t>;
 
-// One recorded access to a shared cell: who, at which epoch, from which
-// function, under which profiled op.  The op table pointer stays valid
-// for the run (profilers outlive the kernel they instrument); report
-// strings are materialized the moment a race is found.
+// One recorded access to a shared cell: who (by clock slot), at which
+// epoch, from which function, under which profiled op.  The op table
+// pointer stays valid for the run (profilers outlive the kernel they
+// instrument); report strings are materialized the moment a race is found.
 struct RaceAccess {
-  int tid = -1;
+  std::uint32_t slot = 0;
   std::uint32_t clock = 0;
   bool is_write = false;
   const char* func = nullptr;
@@ -83,7 +94,7 @@ struct RaceCellState {
   bool registered = false;
   bool has_write = false;
   RaceAccess last_write;
-  // Latest read per thread since the last non-racing write.
+  // Latest read per slot since the last non-racing write.
   std::vector<RaceAccess> reads;
 };
 
@@ -172,6 +183,10 @@ class RaceTracker {
   std::uint64_t accesses_checked() const { return accesses_checked_; }
   std::uint64_t cells_tracked() const { return cells_tracked_; }
 
+  // Heap bytes held by vector clocks: per-slot, root, adopted-token and
+  // per-lock clocks plus the slot free list.  0 while never enabled.
+  std::size_t ClockBytes() const;
+
   // Drops all clocks, tokens and reports (not the enabled flag).  Cell
   // states invalidate lazily via the generation counter.
   void Reset();
@@ -187,11 +202,23 @@ class RaceTracker {
   void ReleaseSlow(const void* lock, int tid);
   RaceClock CaptureSlow();
 
+  // An exited task's slot and its epoch at exit.
+  struct FreeSlot {
+    std::uint32_t slot;
+    std::uint32_t final_epoch;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   // The id of the task executing right now, or -1 in kernel context.
   int CurrentTid() const;
 
-  // The clock of task `tid`, sized and seeded on first sight.
-  VectorClock& ClockOf(int tid);
+  // The slot of task `tid`; a task first seen outside a spawn (spawned
+  // before the tracker was enabled) claims a fresh one at epoch 1.
+  std::uint32_t SlotOf(int tid);
+
+  // Gives task `tid` clock `base`, with its own epoch advanced, in the
+  // newest free slot whose previous owner `base` covers, else a new one.
+  std::uint32_t Claim(int tid, VectorClock base);
 
   // Joins root_ plus every adopted token into `out`.
   void KernelClockInto(VectorClock& out) const;
@@ -199,10 +226,11 @@ class RaceTracker {
   static void Join(VectorClock& into, const VectorClock& from);
 
   // True when `access` happened-before the accessor whose clock is `now`.
-  static bool OrderedBefore(const RaceAccess& access, int tid,
+  static bool OrderedBefore(const RaceAccess& access, std::uint32_t slot,
                             const VectorClock& now);
 
-  RaceAccess MakeAccess(int tid, const char* func, bool is_write) const;
+  RaceAccess MakeAccess(int tid, std::uint32_t slot, const char* func,
+                        bool is_write) const;
   void Report(const char* cell_name, const RaceAccess& prior,
               const RaceAccess& current);
 
@@ -211,8 +239,12 @@ class RaceTracker {
   const Kernel* kernel_ = nullptr;
   std::uint32_t generation_ = 0;
 
-  // Per-task clocks, indexed by dense thread id.
+  // Slot of each thread id; kNoSlot before first sight and after exit.
+  std::vector<std::uint32_t> slot_of_;
+  // Per-slot clocks of live tasks; empty while the slot is free.
   std::vector<VectorClock> clocks_;
+  // Slots of exited tasks, in exit order.
+  std::vector<FreeSlot> free_;
   // The root clock: history of every exited task, joined at exit so
   // later host-context spawns are ordered after completed phases.
   VectorClock root_;

@@ -3,7 +3,8 @@
 // touch a Shared<T> cell across await points, and asserts on the deduped
 // report set -- true positives for unsynchronized cross-await protocols,
 // zero reports when a spawn edge, lock hand-off, exit-to-root join, or
-// adopted causality token orders the accesses.
+// adopted causality token orders the accesses -- and that recycling the
+// clock slots of exited tasks changes none of those answers.
 
 #include "src/sim/race_tracker.h"
 
@@ -93,6 +94,7 @@ TEST(RaceTracker, DisabledTrackerIsInert) {
   EXPECT_EQ(k.races().accesses_checked(), 0u);
   EXPECT_EQ(k.races().cells_tracked(), 0u);
   EXPECT_TRUE(k.races().Capture().empty());
+  EXPECT_EQ(k.MemoryStats().race_clock_bytes, 0u);
 }
 
 TEST(RaceTracker, UnsynchronizedCrossAwaitIncrementRaces) {
@@ -244,6 +246,86 @@ TEST(RaceTracker, ResetClearsStateAndInvalidatesCellsLazily) {
   EXPECT_FALSE(k.races().RacesFound())
       << k.races().ReportDescriptions().front();
   EXPECT_EQ(k.races().cells_tracked(), 1u);
+}
+
+// Clock slots of exited tasks are recycled only when the reuse cannot
+// change an ordering answer.
+
+Task<void> BurnThenSpawnWriter(Kernel* k, Shared<std::uint64_t>* cell) {
+  co_await k->Cpu(10'000);  // A burst: no wakeup, so no root-clock join.
+  k->Spawn("child", WriteOnce(cell, 2));
+}
+
+TEST(RaceTracker, TaskSpawnNotOrderedAfterExitTakesFreshSlot) {
+  Kernel k(QuietConfig());
+  k.races().set_enabled(true);
+  Shared<std::uint64_t> cell(k, "reuse.cell");
+  // The parent starts before the writer exits and never synchronizes
+  // with it, so the child it spawns is concurrent with the writer.
+  // Handing the child the writer's slot would make the two writes look
+  // program-ordered.
+  k.Spawn("parent", BurnThenSpawnWriter(&k, &cell));
+  k.Spawn("writer", WriteOnce(&cell, 1));
+  k.RunUntilThreadsFinish();
+  const std::vector<std::string> reports = k.races().ReportDescriptions();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_TRUE(AnyReportMentions(reports, "write reuse.cell@WriteOnce"));
+}
+
+Task<void> SleepThenWrite(Kernel* k, Shared<std::uint64_t>* cell) {
+  co_await k->Sleep(100'000);
+  OSIM_SHARED_RW(*cell) = 3;
+}
+
+Task<void> WriteThenSleep(Kernel* k, Shared<std::uint64_t>* cell) {
+  OSIM_SHARED_RW(*cell) = 4;
+  co_await k->Sleep(1'000'000);
+}
+
+Task<void> ExitAtOnce() { co_return; }
+
+TEST(RaceTracker, ReusedSlotEpochOutrunsPreviousOwner) {
+  Kernel k(QuietConfig());
+  k.races().set_enabled(true);
+  Shared<std::uint64_t> cell(k, "epoch.cell");
+  k.Spawn("owner", ExitAtOnce());
+  k.Spawn("sleeper", SleepThenWrite(&k, &cell));
+  k.RunUntil(10'000);  // The owner has exited; the sleeper sleeps.
+  // The successor is spawned from host context after the owner's exit,
+  // so it takes over the owner's slot.  The sleeper's timer wake joins
+  // the root clock -- the owner's history, not the live successor's --
+  // so the successor's write must stay unordered before the sleeper's.
+  k.Spawn("successor", WriteThenSleep(&k, &cell));
+  k.RunUntilThreadsFinish();
+  const std::vector<std::string> reports = k.races().ReportDescriptions();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_TRUE(AnyReportMentions(reports, "write epoch.cell@WriteThenSleep"));
+  EXPECT_TRUE(AnyReportMentions(reports, "write epoch.cell@SleepThenWrite"));
+}
+
+TEST(RaceTracker, HostSpawnsAfterExitsReuseSlots) {
+  KernelConfig cfg = QuietConfig();
+  cfg.reap_finished = true;
+  Kernel k(cfg);
+  k.races().set_enabled(true);
+  Shared<std::uint64_t> cell(k, "sequential.cell");
+  constexpr int kTasks = 10'000;
+  std::size_t early_bytes = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    k.Spawn("task", WriteOnce(&cell, static_cast<std::uint64_t>(i)));
+    k.RunUntilThreadsFinish();
+    if (i == 9) {
+      early_bytes = k.MemoryStats().race_clock_bytes;
+    }
+  }
+  EXPECT_FALSE(k.races().RacesFound())
+      << k.races().ReportDescriptions().front();
+  EXPECT_EQ(k.races().accesses_checked(), static_cast<std::uint64_t>(kTasks));
+  // Each task's exit joins the root clock that the next spawn starts
+  // from, so every task reuses the one slot: the clocks held after
+  // 10,000 tasks are those held after 10.
+  EXPECT_GT(early_bytes, 0u);
+  EXPECT_EQ(k.MemoryStats().race_clock_bytes, early_bytes);
 }
 
 TEST(RaceTracker, KernelContextAccessesAreExempt) {
