@@ -7,15 +7,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <string>
-#include <variant>
 
 #include "bench/bench_util.h"
 #include "src/core/preemption.h"
-#include "src/profilers/noise_profiler.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
-#include "src/sim/kernel.h"
 
 int main(int argc, char** argv) {
   osbench::Header("OS-noise profiling mode: Equation 3 validation (§3.3)");
@@ -24,53 +20,39 @@ int main(int argc, char** argv) {
 
   const osrunner::Scenario* scenario =
       osrunner::BuiltinScenarios().Find("noise");
-  const auto* spec = std::get_if<osrunner::NoiseSpec>(&scenario->workload);
   std::printf("%s\n", scenario->description.c_str());
+  const osrunner::RunResult result = osrunner::RunScenario(*scenario, options);
 
-  osbench::Section("Per-task interference table (one machine, base seed)");
+  osbench::Section("Per-task interference table (trial 0, base seed)");
   {
-    osim::Kernel kernel(scenario->kernel);
-    osprofilers::NoiseProfiler profiler(&kernel,
-                                        scenario->profilers.resolution);
-    for (int i = 0; i < spec->tasks; ++i) {
-      kernel.Spawn("noise" + std::to_string(i),
-                   profiler.NoiseTask(i, spec->samples, spec->burst));
-    }
-    kernel.RunUntilThreadsFinish();
-    std::printf("%s", profiler.RenderSummary().c_str());
-    const double runtime = static_cast<double>(profiler.TotalRuntime());
-    const double noise = static_cast<double>(profiler.TotalNoise());
+    const osrunner::TrialResult& first = result.trials[0];
+    std::printf("%s", first.noise_table.c_str());
+    const double runtime =
+        static_cast<double>(first.counters.at("noise_runtime_cycles"));
+    const double noise = static_cast<double>(first.counters.at("noise_cycles"));
     const double available =
         runtime > 0.0 ? 100.0 * (1.0 - noise / runtime) : 100.0;
     report.Metric("percent_available", available);
     report.Check("noise_dominated_by_interference",
-                 profiler.TotalPreemptions() > 0 &&
-                     profiler.TotalRunQueue() > 0);
+                 first.counters.at("noise_preemptions") > 0 &&
+                     first.counters.at("noise_runq_cycles") > 0);
   }
 
   osbench::Section("Equation 3 agreement over independently-seeded trials");
-  const osrunner::RunResult result = osrunner::RunScenario(*scenario, options);
   report.RecordRun(result);
   osbench::ShowRunSummary(result);
-  const double measured =
-      static_cast<double>(result.TotalCounter("noise_preemptions"));
-  const osprof::NoisePreemptionCheck check = osprof::CheckNoisePreemptions(
-      spec->tasks, scenario->kernel.num_cpus,
-      spec->samples * static_cast<std::uint64_t>(result.options.trials),
-      spec->burst, static_cast<double>(scenario->kernel.quantum), measured);
-  const double predicted = check.predicted;
-  const double rel_err = check.rel_err;
+  const osprof::NoisePreemptionCheck check =
+      *osrunner::NoiseEquation3(*scenario, result);
   std::printf("  predicted %.1f forced preemptions, measured %.0f\n"
               "  rel err %.4f (tolerance %.2f); preempted samples surface "
               "near bucket %d\n",
-              predicted, measured, rel_err, spec->eq3_tolerance,
+              check.predicted, check.measured, check.rel_err, check.tolerance,
               osprof::PreemptionBucket(
                   static_cast<double>(scenario->kernel.quantum)));
-  report.Metric("eq3_predicted_preemptions", predicted);
-  report.Metric("eq3_measured_preemptions", measured);
-  report.Metric("eq3_rel_err", rel_err);
-  report.Check("eq3_agreement_within_tolerance",
-               rel_err <= spec->eq3_tolerance);
+  report.Metric("eq3_predicted_preemptions", check.predicted);
+  report.Metric("eq3_measured_preemptions", check.measured);
+  report.Metric("eq3_rel_err", check.rel_err);
+  report.Check("eq3_agreement_within_tolerance", check.pass());
 
   osbench::Section("Idle baseline (noise_idle: 1 task, 1 CPU)");
   const osrunner::Scenario* idle =

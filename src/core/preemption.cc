@@ -39,8 +39,11 @@ double ExpectedPreemptedRequests(const Histogram& profile, double quantum) {
 NoisePreemptionCheck CheckNoisePreemptions(int tasks, int num_cpus,
                                            std::uint64_t samples,
                                            Cycles burst, double quantum,
-                                           double measured) {
+                                           double measured,
+                                           double tolerance) {
   NoisePreemptionCheck check;
+  check.measured = measured;
+  check.tolerance = tolerance;
   if (tasks > num_cpus) {
     Histogram profile;
     profile.set_bucket(BucketIndex(burst),

@@ -47,17 +47,22 @@ double ExpectedPreemptedRequests(const Histogram& profile, double quantum);
 // ExpectedPreemptedRequests over a histogram holding tasks * samples
 // records there.  The preemption term assumes a waiting competitor (a
 // quantum-expired task with an empty run queue is re-dispatched), so
-// without CPU oversubscription the model predicts zero.
+// without CPU oversubscription the model predicts zero.  The check
+// passes when the relative error is within `tolerance`; a
+// default-constructed check (nothing predicted or measured) passes.
 struct NoisePreemptionCheck {
   double predicted = 0.0;  // Expected forced preemptions.
+  double measured = 0.0;   // Forced preemptions observed.
   // |measured - predicted| / predicted; 1 when preemptions were measured
   // where the model predicts none.
   double rel_err = 0.0;
+  double tolerance = 0.0;
+  bool pass() const { return rel_err <= tolerance; }
 };
 NoisePreemptionCheck CheckNoisePreemptions(int tasks, int num_cpus,
                                            std::uint64_t samples,
                                            Cycles burst, double quantum,
-                                           double measured);
+                                           double measured, double tolerance);
 
 // The bucket where preempted requests surface: preemption adds a wait of
 // roughly one quantum, so floor(log2(Q)).

@@ -20,7 +20,7 @@
 //
 // The profiler is a ProfilerSink ("noise" layer) so the runner collects
 // it like any other layer, and RenderSummary() prints the per-task
-// osnoise-style table shown by `osprof_tool noise`.
+// osnoise-style table shown by `osprof_tool run noise`.
 
 #ifndef OSPROF_SRC_PROFILERS_NOISE_PROFILER_H_
 #define OSPROF_SRC_PROFILERS_NOISE_PROFILER_H_

@@ -11,11 +11,12 @@
 #include <stdexcept>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "src/core/clock.h"
 #include "src/core/peaks.h"
+#include "src/core/preemption.h"
 #include "src/net/fabric.h"
-#include "src/profilers/callgraph_profiler.h"
 #include "src/profilers/noise_profiler.h"
 #include "src/profilers/profiler_sink.h"
 #include "src/profilers/sim_profiler.h"
@@ -93,6 +94,344 @@ std::vector<OpDispersion> ComputeDispersion(
   return out;
 }
 
+// The simulated machine every workload shares, plus the sinks its trial
+// collects.  Each Simulate() overload below builds its workload's state
+// as locals, spawns the tasks, calls Run(), then writes its own counters.
+struct Trial {
+  const Scenario& scenario;
+  TrialResult& result;
+  osim::Kernel& kernel;
+  osim::SimDisk& disk;
+  osfs::Ext2SimFs& fs;
+  osprofilers::SimProfiler& profiler;
+  osprofilers::DriverProfiler* driver;  // Null unless profilers.driver.
+  std::vector<osprofilers::ProfilerSink*> sinks;
+
+  // The FoSgen-style in-FS instrumentation, when the spec asks for it.
+  void AttachFsProfiler() {
+    if (scenario.profilers.fs) {
+      fs.SetProfiler(&profiler);
+      sinks.push_back(&profiler);
+    }
+  }
+
+  // Runs the kernel until its threads finish, collects every sink and
+  // records the outputs all workloads share: the kernel counters, the
+  // lock-order cycles and the SimRace report.
+  void Run() {
+    if (driver != nullptr) {
+      sinks.push_back(driver);
+    }
+    // Per-CPU sharded recording: enabling after all probes attach is fine
+    // -- existing ops are replayed into the shards and later Resolve()
+    // calls propagate, so the order is immaterial to the serialized output.
+    if (scenario.profilers.per_cpu_shards) {
+      profiler.EnableSharding(scenario.profilers.shard_epoch);
+    }
+
+    kernel.RunUntilThreadsFinish();
+
+    result.sim_cycles = kernel.now();
+    for (const osprofilers::ProfilerSink* sink : sinks) {
+      osprofilers::Collected collected =
+          sink->Collect(osprofilers::CollectRequest{});
+      result.layers.emplace(sink->layer(), std::move(collected.profiles));
+      if (collected.layered != nullptr && !collected.layered->empty()) {
+        result.layered.emplace(sink->layer(), *collected.layered);
+      }
+    }
+
+    result.counters["context_switches"] = kernel.context_switches();
+    result.counters["timer_interrupts"] = kernel.timer_interrupts_delivered();
+    result.counters["forced_preemptions"] = kernel.total_forced_preemptions();
+    result.lock_cycles = kernel.lock_order().CycleDescriptions();
+    if (scenario.track_races) {
+      const osim::RaceTracker& races = kernel.races();
+      result.race_reports = races.ReportDescriptions();
+      result.counters["race_reports"] = races.report_count();
+      result.counters["race_racy_accesses"] = races.racy_accesses();
+      result.counters["race_accesses_checked"] = races.accesses_checked();
+      result.counters["race_cells_tracked"] = races.cells_tracked();
+    }
+  }
+};
+
+void Simulate(const GrepSpec& grep, Trial& t) {
+  osworkloads::BuildSourceTree(&t.fs, grep.root, grep.tree);
+  std::optional<osnet::CifsMount> cifs;
+  osfs::Vfs* target = &t.fs;
+  if (grep.over_cifs) {
+    cifs.emplace(&t.kernel, &t.fs, grep.cifs);
+    target = &*cifs;
+    if (t.scenario.profilers.fs) {
+      // Client-side CIFS layer (what Figure 10 profiles).
+      t.profiler.set_layer("cifs");
+      cifs->SetProfiler(&t.profiler);
+      t.sinks.push_back(&t.profiler);
+    }
+  } else {
+    t.AttachFsProfiler();
+  }
+  std::vector<osworkloads::GrepStats> stats(
+      static_cast<std::size_t>(grep.processes));
+  for (int p = 0; p < grep.processes; ++p) {
+    t.kernel.Spawn("grep" + std::to_string(p),
+                   osworkloads::GrepWorkload(
+                       &t.kernel, target, grep.root, grep.per_byte_cpu,
+                       &stats[static_cast<std::size_t>(p)]));
+  }
+  t.Run();
+  for (const osworkloads::GrepStats& s : stats) {
+    t.result.counters["files_read"] += s.files_read;
+    t.result.counters["directories_visited"] += s.directories_visited;
+    t.result.counters["bytes_read"] += s.bytes_read;
+  }
+}
+
+void Simulate(const ZeroByteReadSpec& probe, Trial& t) {
+  t.fs.AddFile(probe.path, probe.file_bytes);
+  t.AttachFsProfiler();
+  for (int p = 0; p < probe.processes; ++p) {
+    t.kernel.Spawn("proc" + std::to_string(p),
+                   osworkloads::ZeroByteReadWorkload(
+                       &t.kernel, &t.fs, probe.path, probe.requests,
+                       probe.user_cycles));
+  }
+  t.Run();
+}
+
+void Simulate(const RandomReadSpec& rr, Trial& t) {
+  t.fs.AddFile(rr.path, rr.file_bytes);
+  t.AttachFsProfiler();
+  for (int p = 0; p < rr.processes; ++p) {
+    t.kernel.Spawn(
+        "proc" + std::to_string(p),
+        osworkloads::RandomReadWorkload(
+            &t.kernel, &t.fs, rr.path, rr.iterations,
+            t.result.seed + 1'000'003u * static_cast<std::uint64_t>(p)));
+  }
+  t.Run();
+}
+
+void Simulate(const CloneSpec& clone, Trial& t) {
+  // Syscall-boundary recording, like the paper's user-level profiler.
+  t.profiler.set_layer("user");
+  t.sinks.push_back(&t.profiler);
+  osim::SimSemaphore lock(&t.kernel, 1, "proc_table");
+  for (int p = 0; p < clone.processes; ++p) {
+    t.kernel.Spawn("proc" + std::to_string(p),
+                   osworkloads::CloneWorkload(
+                       &t.kernel, &lock, &t.profiler, clone.iterations,
+                       clone.lock_free_cpu, clone.locked_cpu,
+                       clone.user_think_cpu));
+  }
+  t.Run();
+  t.result.counters["acquisitions"] = lock.acquisitions();
+  t.result.counters["contended_acquisitions"] = lock.contended_acquisitions();
+}
+
+void Simulate(const PostmarkSpec& pm, Trial& t) {
+  osworkloads::PostmarkConfig pcfg = pm.config;
+  pcfg.seed += static_cast<std::uint64_t>(t.result.trial);
+  t.fs.AddDir(pcfg.directory);
+  t.AttachFsProfiler();
+  osworkloads::PostmarkStats stats;
+  t.kernel.Spawn("postmark",
+                 osworkloads::PostmarkWorkload(&t.kernel, &t.fs, pcfg, &stats));
+  t.Run();
+  t.result.counters["creates"] = stats.creates;
+  t.result.counters["deletes"] = stats.deletes;
+  t.result.counters["reads"] = stats.reads;
+  t.result.counters["appends"] = stats.appends;
+}
+
+void Simulate(const TrafficSpec& traffic, Trial& t) {
+  osworkloads::TrafficConfig tcfg = traffic.config;
+  tcfg.seed += static_cast<std::uint64_t>(t.result.trial);
+  osworkloads::CreateTrafficFiles(&t.fs, tcfg);
+  t.AttachFsProfiler();
+  osworkloads::TrafficStats stats;
+  t.kernel.Spawn("traffic",
+                 osworkloads::OpenLoopTraffic(&t.kernel, &t.fs, tcfg, &stats));
+  t.Run();
+  std::map<std::string, std::uint64_t>& c = t.result.counters;
+  c["sessions"] = stats.sessions_finished;
+  c["requests"] = stats.requests_completed;
+  c["reads"] = stats.reads;
+  c["writes"] = stats.writes;
+  c["bytes_read"] = stats.bytes_read;
+  c["bytes_written"] = stats.bytes_written;
+  c["peak_live_sessions"] = stats.peak_live_sessions;
+  // The kernel's own memory accounting, so scale benches can check the
+  // simulator heap without host RSS noise.
+  const osim::KernelMemoryStats mem = t.kernel.MemoryStats();
+  c["spawned_threads"] = mem.spawned_threads;
+  c["reaped_threads"] = mem.reaped_threads;
+  c["run_queue_peak"] = mem.run_queue_peak_depth;
+  c["sim_heap_bytes"] = mem.TotalBytes();
+  if (t.scenario.profilers.per_cpu_shards && t.profiler.shards() != nullptr) {
+    c["shard_flushes"] = t.profiler.shards()->flushes();
+  }
+}
+
+void Simulate(const NoiseSpec& ns, Trial& t) {
+  // The noise profiler subscribes to the kernel's interference channel;
+  // its tasks are the workload.
+  osprofilers::NoiseProfiler noise(&t.kernel, t.scenario.profilers.resolution);
+  for (int i = 0; i < ns.tasks; ++i) {
+    t.kernel.Spawn("noise" + std::to_string(i),
+                   noise.NoiseTask(i, ns.samples, ns.burst));
+  }
+  t.sinks.push_back(&noise);
+  t.Run();
+  std::map<std::string, std::uint64_t>& c = t.result.counters;
+  c["noise_samples"] = noise.TotalSamples();
+  c["noise_runtime_cycles"] = noise.TotalRuntime();
+  c["noise_cycles"] = noise.TotalNoise();
+  c["noise_max_single"] = noise.MaxSingle();
+  c["noise_preemptions"] = noise.TotalPreemptions();
+  c["noise_migrations"] = noise.TotalMigrations();
+  c["noise_timer_ticks"] = noise.TotalTimerTicks();
+  c["noise_stolen_cycles"] = noise.TotalStolen();
+  c["noise_runq_cycles"] = noise.TotalRunQueue();
+  c["noise_lock_handoffs"] = noise.TotalLockHandoffs();
+  t.result.noise_table = noise.RenderSummary();
+}
+
+void Simulate(const RaceFixtureSpec& race, Trial& t) {
+  // Syscall-boundary recording so the race reports carry op names.
+  t.profiler.set_layer("user");
+  t.sinks.push_back(&t.profiler);
+  osim::Shared<std::uint64_t> cell(t.kernel, "fixture.cell");
+  std::optional<osim::SimSemaphore> lock;
+  if (race.kind == RaceFixtureSpec::Kind::kLockedControl) {
+    lock.emplace(&t.kernel, 1, "fixture_lock");
+  }
+  for (int p = 0; p < race.tasks; ++p) {
+    osim::Task<void> body = [&]() -> osim::Task<void> {
+      switch (race.kind) {
+        case RaceFixtureSpec::Kind::kReaders:
+          // Task 0 publishes; the rest scan.
+          if (p == 0) {
+            return osworkloads::RacePublishWorkload(
+                &t.kernel, &t.profiler, &cell, race.rounds, race.stride);
+          }
+          return osworkloads::RaceScanWorkload(&t.kernel, &t.profiler, &cell,
+                                               race.rounds, race.stride);
+        case RaceFixtureSpec::Kind::kLockedControl:
+          return osworkloads::RaceLockedWorkload(&t.kernel, &t.profiler,
+                                                 &cell, &*lock, race.rounds,
+                                                 race.stride);
+        case RaceFixtureSpec::Kind::kCounter:
+          break;
+      }
+      return osworkloads::RaceCounterWorkload(&t.kernel, &t.profiler, &cell,
+                                              race.rounds, race.stride);
+    }();
+    t.kernel.Spawn("racer" + std::to_string(p), std::move(body));
+  }
+  t.Run();
+  if (lock.has_value()) {
+    t.result.counters["acquisitions"] = lock->acquisitions();
+    t.result.counters["contended_acquisitions"] =
+        lock->contended_acquisitions();
+  }
+}
+
+void Simulate(const ClusterSpec& cl, Trial& t) {
+  if (t.kernel.num_nodes() != cl.nodes) {
+    throw std::invalid_argument(
+        "RunTrial: ClusterSpec.nodes must match kernel.num_nodes");
+  }
+  osnet::Fabric fabric(&t.kernel, cl.net);
+  osnet::Dlm dlm(&t.kernel, &fabric, cl.dlm);
+  osfs::ClusterVolume volume(&t.kernel, &t.disk);
+  // mkfs: every parent directory of the shared path, then the file.
+  std::size_t pos = 1;
+  for (std::size_t slash = cl.path.find('/', pos); slash != std::string::npos;
+       slash = cl.path.find('/', pos)) {
+    volume.AddDir(cl.path.substr(0, slash));
+    pos = slash + 1;
+  }
+  volume.AddFile(cl.path, cl.file_bytes);
+  if (t.scenario.profilers.fs) {
+    // One profiler across all mounts: the cluster-wide view, with each
+    // op still node-tagged through the interference channel.
+    t.profiler.set_layer("cluster");
+    t.sinks.push_back(&t.profiler);
+  }
+  // Mounts after the DLM exists: the ctor registers the node's
+  // downgrade hook (the pre-grant flush that makes revokes coherent).
+  std::vector<std::unique_ptr<osfs::ClusterFsNode>> mounts;
+  for (int n = 0; n < cl.nodes; ++n) {
+    mounts.push_back(
+        std::make_unique<osfs::ClusterFsNode>(&volume, &dlm, n, cl.cfs));
+    if (t.scenario.profilers.fs) {
+      mounts.back()->SetProfiler(&t.profiler);
+    }
+  }
+  dlm.Start();
+  int remaining = cl.nodes * cl.clients_per_node;
+  osim::WaitQueue done(&t.kernel);
+  std::vector<osworkloads::ClusterClientStats> stats(
+      static_cast<std::size_t>(remaining));
+  for (int n = 0; n < cl.nodes; ++n) {
+    for (int c = 0; c < cl.clients_per_node; ++c) {
+      const int index = n * cl.clients_per_node + c;
+      t.kernel.SpawnOn(
+          n, "client" + std::to_string(n) + "." + std::to_string(c),
+          osworkloads::ClusterClientWorkload(
+              &t.kernel, mounts[static_cast<std::size_t>(n)].get(), cl.path,
+              cl.iterations, cl.write_ratio, cl.io_bytes, cl.file_bytes,
+              cl.think_cycles,
+              t.result.seed + 7'919u * static_cast<std::uint64_t>(index),
+              &stats[static_cast<std::size_t>(index)], &remaining, &done));
+    }
+  }
+  t.kernel.Spawn("cluster_ctl", osworkloads::ClusterControl(
+                                    &t.kernel, &dlm, &remaining, &done));
+  t.Run();
+  std::map<std::string, std::uint64_t>& c = t.result.counters;
+  for (const osworkloads::ClusterClientStats& s : stats) {
+    c["reads"] += s.reads;
+    c["writes"] += s.writes;
+    c["bytes_read"] += s.bytes_read;
+    c["bytes_written"] += s.bytes_written;
+  }
+  c["dlm_acquires"] = dlm.acquires();
+  c["dlm_cache_hits"] = dlm.cache_hits();
+  c["dlm_remote_requests"] = dlm.remote_requests();
+  c["dlm_queued_waits"] = dlm.queued_waits();
+  c["dlm_basts"] = dlm.basts_sent();
+  c["dlm_downgrades"] = dlm.downgrades();
+  c["net_messages"] = fabric.messages_sent();
+  c["net_bytes"] = fabric.bytes_sent();
+  for (const auto& mount : mounts) {
+    c["cache_invalidations"] += mount->invalidations();
+    c["pages_flushed"] += mount->pages_flushed();
+  }
+}
+
+// Equation 3 (§3.3) has inputs only for the noise workload: every sample
+// is one burst, so all tasks * samples * trials records sit in the
+// burst's bucket.
+std::optional<osprof::NoisePreemptionCheck> Equation3(
+    const NoiseSpec& ns, const Scenario& scenario, const RunResult& result) {
+  return osprof::CheckNoisePreemptions(
+      ns.tasks, scenario.kernel.num_cpus,
+      ns.samples * static_cast<std::uint64_t>(result.trials.size()), ns.burst,
+      static_cast<double>(scenario.kernel.quantum),
+      static_cast<double>(result.TotalCounter("noise_preemptions")),
+      ns.eq3_tolerance);
+}
+
+template <typename Spec>
+std::optional<osprof::NoisePreemptionCheck> Equation3(const Spec&,
+                                                      const Scenario&,
+                                                      const RunResult&) {
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::uint64_t RunResult::TotalCounter(const std::string& name) const {
@@ -141,323 +480,20 @@ TrialResult RunTrial(const Scenario& scenario, int trial) {
   // (src/sim/race_tracker.h); scale scenarios opt out via the spec.
   kernel.races().set_enabled(scenario.track_races);
   osim::SimDisk disk(&kernel, scenario.disk);
+  // Every workload gets the ext2 file system, even one that never touches
+  // it: its constructor splits the kernel RNG, and the disk and the
+  // cluster FS draw from that RNG later, so dropping it would shift their
+  // draws and with them the goldens.
   osfs::Ext2SimFs fs(&kernel, &disk, scenario.fs);
-
-  const int resolution = scenario.profilers.resolution;
-  osprofilers::SimProfiler sim_profiler(&kernel, resolution);
-  std::optional<osprofilers::CallGraphProfiler> callgraph;
-  if (scenario.profilers.callgraph) {
-    callgraph.emplace(&kernel, resolution);
-  }
+  osprofilers::SimProfiler profiler(&kernel, scenario.profilers.resolution);
   std::optional<osprofilers::DriverProfiler> driver;
   if (scenario.profilers.driver) {
-    driver.emplace(&kernel, &disk, resolution);
-  }
-  std::optional<osprofilers::NoiseProfiler> noise;
-
-  std::vector<osprofilers::ProfilerSink*> sinks;
-  // In-FS instrumentation: the call-graph profiler takes precedence over
-  // the flat SimProfiler, mirroring Ext2SimFs::Profiled.
-  auto attach_fs_instrumentation = [&] {
-    if (callgraph.has_value()) {
-      fs.SetCallGraphProfiler(&*callgraph);
-      sinks.push_back(&*callgraph);
-    } else if (scenario.profilers.fs) {
-      fs.SetProfiler(&sim_profiler);
-      sinks.push_back(&sim_profiler);
-    }
-  };
-
-  // Long-lived workload state; must survive until the simulation finishes.
-  std::optional<osnet::CifsMount> cifs;
-  std::optional<osim::SimSemaphore> clone_lock;
-  std::optional<osim::Shared<std::uint64_t>> race_cell;
-  std::vector<osworkloads::GrepStats> grep_stats;
-  osworkloads::PostmarkStats postmark_stats;
-  osworkloads::TrafficStats traffic_stats;
-  std::optional<osnet::Fabric> fabric;
-  std::optional<osnet::Dlm> dlm;
-  std::optional<osfs::ClusterVolume> cluster_volume;
-  std::vector<std::unique_ptr<osfs::ClusterFsNode>> cluster_mounts;
-  std::vector<osworkloads::ClusterClientStats> cluster_stats;
-  int cluster_remaining = 0;
-  std::optional<osim::WaitQueue> cluster_done;
-
-  if (const auto* grep = std::get_if<GrepSpec>(&scenario.workload)) {
-    osworkloads::BuildSourceTree(&fs, grep->root, grep->tree);
-    osfs::Vfs* target = &fs;
-    if (grep->over_cifs) {
-      cifs.emplace(&kernel, &fs, grep->cifs);
-      target = &*cifs;
-      if (scenario.profilers.fs) {
-        // Client-side CIFS layer (what Figure 10 profiles).
-        sim_profiler.set_layer("cifs");
-        cifs->SetProfiler(&sim_profiler);
-        sinks.push_back(&sim_profiler);
-      }
-    } else {
-      attach_fs_instrumentation();
-    }
-    grep_stats.resize(static_cast<std::size_t>(grep->processes));
-    for (int p = 0; p < grep->processes; ++p) {
-      kernel.Spawn("grep" + std::to_string(p),
-                   osworkloads::GrepWorkload(
-                       &kernel, target, grep->root, grep->per_byte_cpu,
-                       &grep_stats[static_cast<std::size_t>(p)]));
-    }
-  } else if (const auto* probe =
-                 std::get_if<ZeroByteReadSpec>(&scenario.workload)) {
-    fs.AddFile(probe->path, probe->file_bytes);
-    attach_fs_instrumentation();
-    for (int p = 0; p < probe->processes; ++p) {
-      kernel.Spawn("proc" + std::to_string(p),
-                   osworkloads::ZeroByteReadWorkload(&kernel, &fs, probe->path,
-                                                     probe->requests,
-                                                     probe->user_cycles));
-    }
-  } else if (const auto* rr = std::get_if<RandomReadSpec>(&scenario.workload)) {
-    fs.AddFile(rr->path, rr->file_bytes);
-    attach_fs_instrumentation();
-    for (int p = 0; p < rr->processes; ++p) {
-      kernel.Spawn("proc" + std::to_string(p),
-                   osworkloads::RandomReadWorkload(
-                       &kernel, &fs, rr->path, rr->iterations,
-                       kcfg.seed + 1'000'003u * static_cast<std::uint64_t>(p)));
-    }
-  } else if (const auto* clone = std::get_if<CloneSpec>(&scenario.workload)) {
-    // Syscall-boundary recording, like the paper's user-level profiler.
-    sim_profiler.set_layer("user");
-    sinks.push_back(&sim_profiler);
-    clone_lock.emplace(&kernel, 1, "proc_table");
-    for (int p = 0; p < clone->processes; ++p) {
-      kernel.Spawn("proc" + std::to_string(p),
-                   osworkloads::CloneWorkload(
-                       &kernel, &*clone_lock, &sim_profiler, clone->iterations,
-                       clone->lock_free_cpu, clone->locked_cpu,
-                       clone->user_think_cpu));
-    }
-  } else if (const auto* pm = std::get_if<PostmarkSpec>(&scenario.workload)) {
-    osworkloads::PostmarkConfig pcfg = pm->config;
-    pcfg.seed += static_cast<std::uint64_t>(trial);
-    fs.AddDir(pcfg.directory);
-    attach_fs_instrumentation();
-    kernel.Spawn("postmark", osworkloads::PostmarkWorkload(&kernel, &fs, pcfg,
-                                                           &postmark_stats));
-  } else if (const auto* traffic = std::get_if<TrafficSpec>(&scenario.workload)) {
-    osworkloads::TrafficConfig tcfg = traffic->config;
-    tcfg.seed += static_cast<std::uint64_t>(trial);
-    osworkloads::CreateTrafficFiles(&fs, tcfg);
-    attach_fs_instrumentation();
-    kernel.Spawn("traffic", osworkloads::OpenLoopTraffic(&kernel, &fs, tcfg,
-                                                         &traffic_stats));
-  } else if (const auto* race =
-                 std::get_if<RaceFixtureSpec>(&scenario.workload)) {
-    // Syscall-boundary recording so the race reports carry op names.
-    sim_profiler.set_layer("user");
-    sinks.push_back(&sim_profiler);
-    race_cell.emplace(kernel, "fixture.cell");
-    if (race->kind == RaceFixtureSpec::Kind::kLockedControl) {
-      clone_lock.emplace(&kernel, 1, "fixture_lock");
-    }
-    for (int p = 0; p < race->tasks; ++p) {
-      osim::Task<void> body = [&]() -> osim::Task<void> {
-        switch (race->kind) {
-          case RaceFixtureSpec::Kind::kReaders:
-            // Task 0 publishes; the rest scan.
-            if (p == 0) {
-              return osworkloads::RacePublishWorkload(
-                  &kernel, &sim_profiler, &*race_cell, race->rounds,
-                  race->stride);
-            }
-            return osworkloads::RaceScanWorkload(&kernel, &sim_profiler,
-                                                 &*race_cell, race->rounds,
-                                                 race->stride);
-          case RaceFixtureSpec::Kind::kLockedControl:
-            return osworkloads::RaceLockedWorkload(
-                &kernel, &sim_profiler, &*race_cell, &*clone_lock,
-                race->rounds, race->stride);
-          case RaceFixtureSpec::Kind::kCounter:
-            break;
-        }
-        return osworkloads::RaceCounterWorkload(&kernel, &sim_profiler,
-                                                &*race_cell, race->rounds,
-                                                race->stride);
-      }();
-      kernel.Spawn("racer" + std::to_string(p), std::move(body));
-    }
-  } else if (const auto* cl = std::get_if<ClusterSpec>(&scenario.workload)) {
-    if (kernel.num_nodes() != cl->nodes) {
-      throw std::invalid_argument(
-          "RunTrial: ClusterSpec.nodes must match kernel.num_nodes");
-    }
-    fabric.emplace(&kernel, cl->net);
-    dlm.emplace(&kernel, &*fabric, cl->dlm);
-    cluster_volume.emplace(&kernel, &disk);
-    // mkfs: every parent directory of the shared path, then the file.
-    std::string prefix;
-    std::size_t pos = 1;
-    for (std::size_t slash = cl->path.find('/', pos);
-         slash != std::string::npos; slash = cl->path.find('/', pos)) {
-      prefix = cl->path.substr(0, slash);
-      cluster_volume->AddDir(prefix);
-      pos = slash + 1;
-    }
-    cluster_volume->AddFile(cl->path, cl->file_bytes);
-    if (scenario.profilers.fs) {
-      // One profiler across all mounts: the cluster-wide view, with each
-      // op still node-tagged through the interference channel.
-      sim_profiler.set_layer("cluster");
-      sinks.push_back(&sim_profiler);
-    }
-    // Mounts after the DLM exists: the ctor registers the node's
-    // downgrade hook (the pre-grant flush that makes revokes coherent).
-    for (int n = 0; n < cl->nodes; ++n) {
-      cluster_mounts.push_back(std::make_unique<osfs::ClusterFsNode>(
-          &*cluster_volume, &*dlm, n, cl->cfs));
-      if (scenario.profilers.fs) {
-        cluster_mounts.back()->SetProfiler(&sim_profiler);
-      }
-    }
-    dlm->Start();
-    cluster_remaining = cl->nodes * cl->clients_per_node;
-    cluster_done.emplace(&kernel);
-    cluster_stats.resize(static_cast<std::size_t>(cluster_remaining));
-    for (int n = 0; n < cl->nodes; ++n) {
-      for (int c = 0; c < cl->clients_per_node; ++c) {
-        const int index = n * cl->clients_per_node + c;
-        kernel.SpawnOn(
-            n, "client" + std::to_string(n) + "." + std::to_string(c),
-            osworkloads::ClusterClientWorkload(
-                &kernel, cluster_mounts[static_cast<std::size_t>(n)].get(),
-                cl->path, cl->iterations, cl->write_ratio, cl->io_bytes,
-                cl->file_bytes, cl->think_cycles,
-                kcfg.seed + 7'919u * static_cast<std::uint64_t>(index),
-                &cluster_stats[static_cast<std::size_t>(index)],
-                &cluster_remaining, &*cluster_done));
-      }
-    }
-    kernel.Spawn("cluster_ctl",
-                 osworkloads::ClusterControl(&kernel, &*dlm,
-                                             &cluster_remaining,
-                                             &*cluster_done));
-  } else if (const auto* ns = std::get_if<NoiseSpec>(&scenario.workload)) {
-    // The noise profiler subscribes to the kernel's interference channel;
-    // its tasks are the workload.
-    noise.emplace(&kernel, resolution);
-    for (int i = 0; i < ns->tasks; ++i) {
-      kernel.Spawn("noise" + std::to_string(i),
-                   noise->NoiseTask(i, ns->samples, ns->burst));
-    }
-    sinks.push_back(&*noise);
-  } else {
-    throw std::logic_error("RunTrial: unhandled workload variant");
+    driver.emplace(&kernel, &disk, scenario.profilers.resolution);
   }
 
-  if (driver.has_value()) {
-    sinks.push_back(&*driver);
-  }
-
-  // Per-CPU sharded recording: enabling after all probes attach is fine --
-  // existing ops are replayed into the shards and later Resolve() calls
-  // propagate, so the order is immaterial to the serialized output.
-  if (scenario.profilers.per_cpu_shards) {
-    sim_profiler.EnableSharding(scenario.profilers.shard_epoch);
-  }
-
-  kernel.RunUntilThreadsFinish();
-
-  result.sim_cycles = kernel.now();
-  for (const osprofilers::ProfilerSink* sink : sinks) {
-    osprofilers::Collected collected =
-        sink->Collect(osprofilers::CollectRequest{});
-    result.layers.emplace(sink->layer(), std::move(collected.profiles));
-    if (collected.layered != nullptr && !collected.layered->empty()) {
-      result.layered.emplace(sink->layer(), *collected.layered);
-    }
-  }
-
-  result.counters["context_switches"] = kernel.context_switches();
-  result.counters["timer_interrupts"] = kernel.timer_interrupts_delivered();
-  result.counters["forced_preemptions"] = kernel.total_forced_preemptions();
-  if (!grep_stats.empty()) {
-    for (const osworkloads::GrepStats& s : grep_stats) {
-      result.counters["files_read"] += s.files_read;
-      result.counters["directories_visited"] += s.directories_visited;
-      result.counters["bytes_read"] += s.bytes_read;
-    }
-  }
-  if (clone_lock.has_value()) {
-    result.counters["acquisitions"] = clone_lock->acquisitions();
-    result.counters["contended_acquisitions"] =
-        clone_lock->contended_acquisitions();
-  }
-  if (std::holds_alternative<PostmarkSpec>(scenario.workload)) {
-    result.counters["creates"] = postmark_stats.creates;
-    result.counters["deletes"] = postmark_stats.deletes;
-    result.counters["reads"] = postmark_stats.reads;
-    result.counters["appends"] = postmark_stats.appends;
-  }
-  if (std::holds_alternative<ClusterSpec>(scenario.workload)) {
-    for (const osworkloads::ClusterClientStats& s : cluster_stats) {
-      result.counters["reads"] += s.reads;
-      result.counters["writes"] += s.writes;
-      result.counters["bytes_read"] += s.bytes_read;
-      result.counters["bytes_written"] += s.bytes_written;
-    }
-    result.counters["dlm_acquires"] = dlm->acquires();
-    result.counters["dlm_cache_hits"] = dlm->cache_hits();
-    result.counters["dlm_remote_requests"] = dlm->remote_requests();
-    result.counters["dlm_queued_waits"] = dlm->queued_waits();
-    result.counters["dlm_basts"] = dlm->basts_sent();
-    result.counters["dlm_downgrades"] = dlm->downgrades();
-    result.counters["net_messages"] = fabric->messages_sent();
-    result.counters["net_bytes"] = fabric->bytes_sent();
-    for (const auto& mount : cluster_mounts) {
-      result.counters["cache_invalidations"] += mount->invalidations();
-      result.counters["pages_flushed"] += mount->pages_flushed();
-    }
-  }
-  if (noise.has_value()) {
-    result.counters["noise_samples"] = noise->TotalSamples();
-    result.counters["noise_runtime_cycles"] = noise->TotalRuntime();
-    result.counters["noise_cycles"] = noise->TotalNoise();
-    result.counters["noise_max_single"] = noise->MaxSingle();
-    result.counters["noise_preemptions"] = noise->TotalPreemptions();
-    result.counters["noise_migrations"] = noise->TotalMigrations();
-    result.counters["noise_timer_ticks"] = noise->TotalTimerTicks();
-    result.counters["noise_stolen_cycles"] = noise->TotalStolen();
-    result.counters["noise_runq_cycles"] = noise->TotalRunQueue();
-    result.counters["noise_lock_handoffs"] = noise->TotalLockHandoffs();
-  }
-  if (std::holds_alternative<TrafficSpec>(scenario.workload)) {
-    result.counters["sessions"] = traffic_stats.sessions_finished;
-    result.counters["requests"] = traffic_stats.requests_completed;
-    result.counters["reads"] = traffic_stats.reads;
-    result.counters["writes"] = traffic_stats.writes;
-    result.counters["bytes_read"] = traffic_stats.bytes_read;
-    result.counters["bytes_written"] = traffic_stats.bytes_written;
-    result.counters["peak_live_sessions"] = traffic_stats.peak_live_sessions;
-    // The kernel's own memory accounting, so scale benches can check the
-    // simulator heap without host RSS noise.
-    const osim::KernelMemoryStats mem = kernel.MemoryStats();
-    result.counters["spawned_threads"] = mem.spawned_threads;
-    result.counters["reaped_threads"] = mem.reaped_threads;
-    result.counters["run_queue_peak"] = mem.run_queue_peak_depth;
-    result.counters["sim_heap_bytes"] = mem.TotalBytes();
-    if (scenario.profilers.per_cpu_shards && sim_profiler.shards() != nullptr) {
-      result.counters["shard_flushes"] = sim_profiler.shards()->flushes();
-    }
-  }
-
-  result.lock_cycles = kernel.lock_order().CycleDescriptions();
-  if (scenario.track_races) {
-    const osim::RaceTracker& races = kernel.races();
-    result.race_reports = races.ReportDescriptions();
-    result.counters["race_reports"] = races.report_count();
-    result.counters["race_racy_accesses"] = races.racy_accesses();
-    result.counters["race_accesses_checked"] = races.accesses_checked();
-    result.counters["race_cells_tracked"] = races.cells_tracked();
-  }
+  Trial t{scenario, result, kernel, disk, fs, profiler,
+          driver.has_value() ? &*driver : nullptr, {}};
+  std::visit([&t](const auto& spec) { Simulate(spec, t); }, scenario.workload);
 
   result.wall_seconds = timer.Seconds();
   return result;
@@ -547,6 +583,13 @@ RunResult RunScenario(const Scenario& scenario, const RunOptions& options) {
 
   result.wall_seconds = timer.Seconds();
   return result;
+}
+
+std::optional<osprof::NoisePreemptionCheck> NoiseEquation3(
+    const Scenario& scenario, const RunResult& result) {
+  return std::visit(
+      [&](const auto& spec) { return Equation3(spec, scenario, result); },
+      scenario.workload);
 }
 
 std::string RenderDispersion(const LayerResult& layer, int trials) {

@@ -17,18 +17,20 @@
 //    the same number of peaks as it does most often?).
 //
 // Profiles are collected through the ProfilerSink interface, so the
-// runner is indifferent to which layer (user / fs / driver / callgraph)
-// produced them.
+// runner is indifferent to which layer (user / fs / cifs / cluster /
+// driver / noise) produced them.
 
 #ifndef OSPROF_SRC_RUNNER_RUNNER_H_
 #define OSPROF_SRC_RUNNER_RUNNER_H_
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/core/layered.h"
+#include "src/core/preemption.h"
 #include "src/core/profile.h"
 #include "src/runner/scenario.h"
 
@@ -60,6 +62,9 @@ struct TrialResult {
   // SimRace analysis (src/sim/race_tracker.h): one description per
   // deduped data race observed in this trial.
   std::vector<std::string> race_reports;
+  // The rtla/osnoise-style per-task table (NoiseProfiler::RenderSummary);
+  // empty unless the workload is a NoiseSpec.
+  std::string noise_table;
 };
 
 // Cross-trial dispersion of one operation's histogram.
@@ -113,6 +118,13 @@ TrialResult RunTrial(const Scenario& scenario, int trial);
 // Throws std::invalid_argument on a non-positive trial count; workload
 // exceptions propagate (the first one raised, by trial order).
 RunResult RunScenario(const Scenario& scenario, const RunOptions& options);
+
+// The §3.3 Equation 3 check over all of `result`'s trials: the measured
+// forced-preemption total against the model's prediction from the sample
+// budget, held to NoiseSpec::eq3_tolerance.  nullopt unless the scenario's
+// workload is a NoiseSpec.
+std::optional<osprof::NoisePreemptionCheck> NoiseEquation3(
+    const Scenario& scenario, const RunResult& result);
 
 // Human-readable dispersion table for one layer (the runner's report
 // counterpart to RenderAscii for single profiles).

@@ -193,7 +193,6 @@ Scenario Noise() {
   s.kernel.num_cpus = 2;
   s.kernel.quantum = osim::Cycles{1} << 20;
   s.kernel.seed = 33;
-  s.profilers.fs = false;  // No file system: the workload is pure CPU.
   s.workload = NoiseSpec{};
   return s;
 }
@@ -209,7 +208,6 @@ Scenario NoiseIdle() {
   s.kernel.num_cpus = 1;
   s.kernel.quantum = osim::Cycles{1} << 20;
   s.kernel.seed = 33;
-  s.profilers.fs = false;
   NoiseSpec n;
   n.tasks = 1;
   s.workload = n;
@@ -217,8 +215,8 @@ Scenario NoiseIdle() {
 }
 
 // The SimRace fixture family.  Two CPUs so racing turns genuinely
-// interleave; the fs profiler is off (there is no file system in these
-// workloads -- the profiler attaches at the syscall boundary as "user").
+// interleave; the workloads never touch the file system, so the profiler
+// attaches at the syscall boundary as "user".
 Scenario RaceFixture(RaceFixtureSpec::Kind kind, std::string name,
                      std::string what) {
   Scenario s;
@@ -226,7 +224,6 @@ Scenario RaceFixture(RaceFixtureSpec::Kind kind, std::string name,
   s.description = "SimRace fixture: " + what;
   s.kernel.num_cpus = 2;
   s.kernel.seed = 99;
-  s.profilers.fs = false;
   RaceFixtureSpec spec;
   spec.kind = kind;
   spec.tasks = kind == RaceFixtureSpec::Kind::kReaders ? 3 : 2;

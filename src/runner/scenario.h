@@ -39,11 +39,10 @@ namespace osrunner {
 // record into a SimProfiler labelled "user"; file-system workloads attach
 // it as the FoSgen-style in-FS instrumentation labelled "fs".
 struct ProfilerSpec {
-  bool fs = true;        // SimProfiler at the FS (or syscall) boundary.
+  // SimProfiler at the file-system boundary (ext2, CIFS or cluster FS);
+  // the syscall-level workloads (clone, race fixtures) always record.
+  bool fs = true;
   bool driver = false;   // DriverProfiler on the block request stream.
-  bool callgraph = false;  // Function-granularity profiler; when set it
-                           // replaces the FS-level SimProfiler (collected
-                           // under layer "callgraph", flat view).
   int resolution = 1;
   // Per-CPU profile sharding (million-task scale): the SimProfiler records
   // into private per-CPU shards, folded into the base sets every

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "src/core/analysis.h"
@@ -302,41 +301,6 @@ LayersVerdict ScoreLayersDecomposition(
   return v;
 }
 
-// The §3.3 Equation 3 rater, checked only for noise scenarios: every
-// sample is one burst of NoiseSpec::burst CPU cycles, so all
-// tasks * samples * trials records sit in the burst's bucket and feed
-// Equation 3's sum n_b * mid(b) / Q directly.  The default
-// burst is bucket 16's exact mid-latency, which makes the prediction free
-// of bucket-rounding error and lets the tolerance stay tight.
-struct NoiseVerdict {
-  bool checked = false;  // False unless the workload is a NoiseSpec.
-  double predicted = 0.0;
-  double measured = 0.0;
-  double rel_err = 0.0;
-  double tolerance = 0.0;
-  bool pass() const { return !checked || rel_err <= tolerance; }
-};
-
-NoiseVerdict ScoreNoiseEquation3(const osrunner::Scenario& scenario,
-                                 const osrunner::RunResult& result,
-                                 int trials) {
-  NoiseVerdict v;
-  const auto* ns = std::get_if<osrunner::NoiseSpec>(&scenario.workload);
-  if (ns == nullptr) {
-    return v;
-  }
-  v.checked = true;
-  v.tolerance = ns->eq3_tolerance;
-  v.measured = static_cast<double>(result.TotalCounter("noise_preemptions"));
-  const osprof::NoisePreemptionCheck check = osprof::CheckNoisePreemptions(
-      ns->tasks, scenario.kernel.num_cpus,
-      ns->samples * static_cast<std::uint64_t>(trials), ns->burst,
-      static_cast<double>(scenario.kernel.quantum), v.measured);
-  v.predicted = check.predicted;
-  v.rel_err = check.rel_err;
-  return v;
-}
-
 // The SimRace verdict (src/sim/race_tracker.h).  Ordinary scenarios must
 // come back race-free; the seeded race_fixture_* family must race --
 // that is the gate's true-positive check on the detector itself.
@@ -355,7 +319,8 @@ struct RacesVerdict {
 osjson::Value VerdictJson(const GateFlags& flags,
                           const std::vector<LayerVerdict>& layers,
                           const LayersVerdict& layered,
-                          const NoiseVerdict& noise,
+                          const std::optional<osprof::NoisePreemptionCheck>&
+                              noise,
                           const std::vector<std::string>& lock_cycles,
                           const RacesVerdict& races, bool pass) {
   osjson::Value doc = osjson::Value::Object();
@@ -422,13 +387,16 @@ osjson::Value VerdictJson(const GateFlags& flags,
   }
   ld.Set("mismatches", std::move(mismatch_array));
   doc.Set("layered", std::move(ld));
+  // An unchecked (non-noise) scenario reports zeros and passes.
+  const osprof::NoisePreemptionCheck eq3 = noise.value_or(
+      osprof::NoisePreemptionCheck{});
   osjson::Value nv = osjson::Value::Object();
-  nv.Set("checked", osjson::Value::Bool(noise.checked));
-  nv.Set("predicted_preemptions", osjson::Value::Double(noise.predicted));
-  nv.Set("measured_preemptions", osjson::Value::Double(noise.measured));
-  nv.Set("rel_err", osjson::Value::Double(noise.rel_err));
-  nv.Set("tolerance", osjson::Value::Double(noise.tolerance));
-  nv.Set("pass", osjson::Value::Bool(noise.pass()));
+  nv.Set("checked", osjson::Value::Bool(noise.has_value()));
+  nv.Set("predicted_preemptions", osjson::Value::Double(eq3.predicted));
+  nv.Set("measured_preemptions", osjson::Value::Double(eq3.measured));
+  nv.Set("rel_err", osjson::Value::Double(eq3.rel_err));
+  nv.Set("tolerance", osjson::Value::Double(eq3.tolerance));
+  nv.Set("pass", osjson::Value::Bool(eq3.pass()));
   doc.Set("noise", std::move(nv));
   return doc;
 }
@@ -540,8 +508,8 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
     layers.push_back(std::move(verdict));
   }
 
-  const NoiseVerdict noise =
-      ScoreNoiseEquation3(*scenario, result, flags->run.trials);
+  const std::optional<osprof::NoisePreemptionCheck> noise =
+      osrunner::NoiseEquation3(*scenario, result);
 
   LayersVerdict layered;
   layered.baseline_path = flags->baseline_prefix + ".layers";
@@ -648,15 +616,15 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
   }
   // Equation 3 (§3.3) on noise scenarios: the measured forced-preemption
   // count must agree with the model's prediction from the sample budget.
-  if (noise.checked) {
+  if (noise.has_value()) {
     char line[256];
     std::snprintf(line, sizeof(line),
                   "[noise] Eq.3 predicted %.1f forced preemptions, measured "
                   "%.0f (rel err %.4f, tolerance %.2f) %s\n",
-                  noise.predicted, noise.measured, noise.rel_err,
-                  noise.tolerance, noise.pass() ? "PASS" : "REGRESSION");
+                  noise->predicted, noise->measured, noise->rel_err,
+                  noise->tolerance, noise->pass() ? "PASS" : "REGRESSION");
     out << line;
-    pass = pass && noise.pass();
+    pass = pass && noise->pass();
   }
   out << (pass ? "gate PASS" : "gate REGRESSION") << "\n";
 

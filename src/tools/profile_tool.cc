@@ -15,7 +15,6 @@
 #include "src/core/sampling.h"
 #include "src/tools/gate_command.h"
 #include "src/tools/lint_command.h"
-#include "src/tools/noise_command.h"
 #include "src/tools/run_command.h"
 
 namespace ostools {
@@ -35,14 +34,14 @@ constexpr const char* kUsage =
     "  plot3d  <set.sprof> <op>             gnuplot script (Figure 9 style)\n"
     "  run     <scenario> [--trials=N] [--jobs=J] [--out=PREFIX]\n"
     "                                       scenario report: profiles,\n"
-    "                                       layers, lock order, races\n"
+    "                                       layers, lock order, races; the\n"
+    "                                       OS-noise table + Eq.3 check\n"
+    "                                       for noise scenarios\n"
     "  run     --list                       available scenarios\n"
     "  gate    <scenario> [--baseline=PREFIX] [--raters=emd,chi2,ops,latency]\n"
     "          [--threshold=X] [--trials=N] [--jobs=J] [--json=FILE]\n"
-    "          [--update]                    profile-regression gate\n"
+    "          [--no-races] [--update]      profile-regression gate\n"
     "  gate    --list                       gateable scenarios\n"
-    "  noise   [scenario]                   OS-noise tracer table + Eq.3 "
-    "check\n"
     "  lint    [paths...] [--rules=r1,r2] [--json=FILE]\n"
     "                                       in-tree static analysis\n"
     "  lint    --list-rules                 lint rule names\n"
@@ -336,10 +335,6 @@ int RunProfileTool(const std::vector<std::string>& args, std::ostream& out,
   }
   if (cmd == "gate" && n >= 2) {
     return RunGateCommand(
-        std::vector<std::string>(args.begin() + 1, args.end()), out, err);
-  }
-  if (cmd == "noise") {
-    return RunNoiseCommand(
         std::vector<std::string>(args.begin() + 1, args.end()), out, err);
   }
   if (cmd == "lint") {

@@ -10,6 +10,7 @@
 
 #include "src/core/clock.h"
 #include "src/core/layered.h"
+#include "src/core/preemption.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
 #include "src/tools/flags.h"
@@ -28,7 +29,9 @@ constexpr const char* kRunUsage =
     "               layer recorded one\n"
     "  Prints each layer's merged profile with its cross-trial dispersion,\n"
     "  the layered latency decomposition, lock-order cycles and the\n"
-    "  SimRace data-race report.\n";
+    "  SimRace data-race report.  Noise scenarios (noise, noise_idle) also\n"
+    "  print each trial's rtla/osnoise-style per-task table and the\n"
+    "  Equation 3 forced-preemption check over all trials.\n";
 
 int ListScenarios(std::ostream& out) {
   const osrunner::ScenarioRegistry& registry = osrunner::BuiltinScenarios();
@@ -152,6 +155,22 @@ int RunRunCommand(const std::vector<std::string>& args, std::ostream& out,
       osprof::SerializeLayers(layered, file);
       out << "wrote " << path << "\n";
     }
+  }
+
+  if (const auto eq3 = osrunner::NoiseEquation3(*scenario, result)) {
+    for (const osrunner::TrialResult& t : result.trials) {
+      out << "\n[noise] trial " << t.trial << " per-task interference:\n"
+          << t.noise_table;
+    }
+    const double quantum = static_cast<double>(scenario->kernel.quantum);
+    std::snprintf(line, sizeof(line),
+                  "\n[noise] Eq.3 over %d trial(s): predicted %.1f forced "
+                  "preemptions (bucket %d), measured %.0f, rel err %.4f "
+                  "(tolerance %.2f)\n",
+                  result.options.trials, eq3->predicted,
+                  osprof::PreemptionBucket(quantum), eq3->measured,
+                  eq3->rel_err, eq3->tolerance);
+    out << line;
   }
 
   const std::vector<std::string> lock_cycles = result.LockCycles();

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -180,14 +182,86 @@ TEST(RunnerTest, DriverLayerAppearsWhenRequested) {
   EXPECT_EQ(result.layers.count("driver"), 1u);
 }
 
-TEST(RunnerTest, CallgraphReplacesTheFsLayer) {
-  Scenario s = TinyGrep();
-  s.profilers.callgraph = true;
-  RunOptions options;
-  const RunResult result = RunScenario(s, options);
-  EXPECT_EQ(result.layers.count("fs"), 0u);
-  ASSERT_EQ(result.layers.count("callgraph"), 1u);
-  EXPECT_NE(result.layers.at("callgraph").merged.Find("readdir"), nullptr);
+// Each WorkloadSpec alternative reports exactly its own counters on top of
+// the kernel and SimRace ones every trial records.  A workload that drops
+// or renames a counter fails here.
+TEST(RunnerTest, EachWorkloadReportsItsCounters) {
+  auto tiny = [](WorkloadSpec workload) {
+    Scenario s;
+    s.kernel.num_cpus = 2;
+    s.kernel.seed = 5;
+    s.workload = std::move(workload);
+    return s;
+  };
+  ZeroByteReadSpec probe;
+  probe.requests = 20;
+  RandomReadSpec rr;
+  rr.iterations = 10;
+  PostmarkSpec pm;
+  pm.config.initial_files = 10;
+  pm.config.transactions = 20;
+  TrafficSpec traffic;
+  traffic.config.phases = {{4, osim::Cycles{1'000'000}}};
+  traffic.config.requests_per_session = 3;
+  traffic.config.file_pool = 8;
+  NoiseSpec noise;
+  noise.tasks = 3;
+  noise.samples = 20;
+  RaceFixtureSpec locked;
+  locked.kind = RaceFixtureSpec::Kind::kLockedControl;
+  ClusterSpec cluster;
+  cluster.iterations = 5;
+  Scenario cluster_scenario = tiny(cluster);
+  cluster_scenario.kernel.num_cpus = 4;
+  cluster_scenario.kernel.num_nodes = 2;
+  Scenario sharded = tiny(traffic);
+  sharded.profilers.per_cpu_shards = true;
+
+  const std::set<std::string> lock = {"acquisitions",
+                                      "contended_acquisitions"};
+  const std::vector<std::pair<Scenario, std::set<std::string>>> cases = {
+      {TinyGrep(), {"bytes_read", "directories_visited", "files_read"}},
+      {tiny(probe), {}},
+      {tiny(rr), {}},
+      {TinyClone(), lock},
+      {tiny(pm), {"appends", "creates", "deletes", "reads"}},
+      {tiny(traffic),
+       {"bytes_read", "bytes_written", "peak_live_sessions", "reads",
+        "reaped_threads", "requests", "run_queue_peak", "sessions",
+        "sim_heap_bytes", "spawned_threads", "writes"}},
+      {sharded,
+       {"bytes_read", "bytes_written", "peak_live_sessions", "reads",
+        "reaped_threads", "requests", "run_queue_peak", "sessions",
+        "shard_flushes", "sim_heap_bytes", "spawned_threads", "writes"}},
+      {tiny(noise),
+       {"noise_cycles", "noise_lock_handoffs", "noise_max_single",
+        "noise_migrations", "noise_preemptions", "noise_runq_cycles",
+        "noise_runtime_cycles", "noise_samples", "noise_stolen_cycles",
+        "noise_timer_ticks"}},
+      {tiny(RaceFixtureSpec{}), {}},
+      {tiny(locked), lock},
+      {cluster_scenario,
+       {"bytes_read", "bytes_written", "cache_invalidations", "dlm_acquires",
+        "dlm_basts", "dlm_cache_hits", "dlm_downgrades",
+        "dlm_queued_waits", "dlm_remote_requests", "net_bytes",
+        "net_messages", "pages_flushed", "reads", "writes"}},
+  };
+
+  std::set<std::size_t> covered;
+  for (const auto& [scenario, own] : cases) {
+    covered.insert(scenario.workload.index());
+    std::set<std::string> want = {
+        "context_switches",      "forced_preemptions", "race_accesses_checked",
+        "race_cells_tracked",    "race_racy_accesses", "race_reports",
+        "timer_interrupts"};
+    want.insert(own.begin(), own.end());
+    std::set<std::string> got;
+    for (const auto& [name, value] : RunTrial(scenario, 0).counters) {
+      got.insert(name);
+    }
+    EXPECT_EQ(got, want) << "workload index " << scenario.workload.index();
+  }
+  EXPECT_EQ(covered.size(), std::variant_size_v<WorkloadSpec>);
 }
 
 // Satellite 2: every profiler presents the same sink surface.
@@ -300,6 +374,28 @@ TEST_F(RunCommandReportTest, PrintsTheLayeredDecomposition) {
                       "layer fs (resolution 1)\n"));
   EXPECT_TRUE(Printed("  readdir\n"));
   EXPECT_TRUE(Printed("legend: "));
+}
+
+// `run noise` prints the rtla/osnoise-style table (one row per task plus
+// TOTAL) and the Equation 3 line over the same run's preemption count.
+TEST_F(RunCommandReportTest, NoiseScenarioPrintsTheTracerTable) {
+  ASSERT_EQ(Run({"noise"}), 0) << err_.str();
+  EXPECT_TRUE(Printed("[noise] trial 0 per-task interference:\n"));
+  for (const char* row : {"\nnoise0 ", "\nnoise1 ", "\nnoise2 ", "\nnoise3 ",
+                          "\nTOTAL "}) {
+    EXPECT_TRUE(Printed(row)) << row;
+  }
+  EXPECT_FALSE(Printed("\nnoise4 "));
+  RunOptions options;
+  const RunResult result =
+      RunScenario(*BuiltinScenarios().Find("noise"), options);
+  const std::string measured =
+      "measured " + std::to_string(result.TotalCounter("noise_preemptions")) +
+      ",";
+  EXPECT_TRUE(Printed("[noise] Eq.3 over 1 trial(s): predicted 1500.0 "
+                      "forced preemptions (bucket 20), " +
+                      measured))
+      << out_.str();
 }
 
 TEST_F(RunCommandReportTest, UntrackedScenarioSaysTrackingIsOff) {
