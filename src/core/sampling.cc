@@ -1,6 +1,7 @@
 #include "src/core/sampling.h"
 
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -147,6 +148,13 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
     throw std::runtime_error("SampledProfileSet::Parse line " +
                              std::to_string(lineno) + ": " + msg);
   };
+  auto parse_count = [&fail](const std::string& text) {
+    const std::optional<std::uint64_t> value = ParseCount(text);
+    if (!value) {
+      fail("not an unsigned decimal: '" + text + "'");
+    }
+    return *value;
+  };
   int resolution = 1;
   Cycles epoch_cycles = 1;
   SampledProfileSet set(1, 1);
@@ -154,6 +162,7 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
   Histogram* current = nullptr;
   std::uint64_t current_recorded = 0;
   std::uint64_t current_total = 0;
+  std::uint64_t epochs = 0;  // Materialized so far, all operations.
 
   while (std::getline(is, line)) {
     ++lineno;
@@ -167,8 +176,13 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
         fail("malformed resolution");
       }
     } else if (tok == "epoch_cycles") {
-      if (!(ls >> epoch_cycles)) {
+      std::string text;
+      if (!(ls >> text)) {
         fail("malformed epoch_cycles");
+      }
+      epoch_cycles = parse_count(text);
+      if (epoch_cycles == 0) {
+        fail("epoch_cycles must be positive");
       }
     } else if (tok == "sampled") {
       if (!configured) {
@@ -179,7 +193,7 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
       if (!(ls >> name)) {
         fail("sampled line missing op name");
       }
-      int epoch = -1;
+      std::optional<std::uint64_t> epoch;
       current_recorded = 0;
       current_total = 0;
       std::string kv;
@@ -189,9 +203,9 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
           fail("malformed key=value: " + kv);
         }
         const std::string key = kv.substr(0, eq);
-        const std::uint64_t value = std::stoull(kv.substr(eq + 1));
+        const std::uint64_t value = parse_count(kv.substr(eq + 1));
         if (key == "epoch") {
-          epoch = static_cast<int>(value);
+          epoch = value;
         } else if (key == "recorded") {
           current_recorded = value;
         } else if (key == "total_latency") {
@@ -200,24 +214,32 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
           fail("unknown attribute: " + key);
         }
       }
-      if (epoch < 0) {
+      if (!epoch) {
         fail("sampled block missing epoch=");
       }
       // Materialize the profile (Add-like path) then grab the epoch.
-      current = set.Slot(name)->MutableEpoch(epoch);
+      SampledProfile* profile = set.Slot(name);
+      const auto have = static_cast<std::uint64_t>(profile->num_epochs());
+      if (*epoch >= have) {
+        if (*epoch - have >= kMaxParsedEpochs - epochs) {
+          fail("more than " + std::to_string(kMaxParsedEpochs) + " epochs");
+        }
+        epochs += *epoch + 1 - have;
+      }
+      current = profile->MutableEpoch(static_cast<int>(*epoch));
     } else if (tok == "bucket") {
       if (current == nullptr) {
         fail("bucket outside sampled block");
       }
       int index = 0;
-      std::uint64_t count = 0;
+      std::string count;
       if (!(ls >> index >> count)) {
         fail("malformed bucket line");
       }
       if (index < 0 || index >= current->num_buckets()) {
         fail("bucket index out of range");
       }
-      current->set_bucket(index, count);
+      current->set_bucket(index, parse_count(count));
     } else if (tok == "end") {
       if (current == nullptr) {
         fail("end outside sampled block");

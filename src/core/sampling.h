@@ -11,6 +11,7 @@
 #ifndef OSPROF_SRC_CORE_SAMPLING_H_
 #define OSPROF_SRC_CORE_SAMPLING_H_
 
+#include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <string>
@@ -57,6 +58,13 @@ class SampledProfile {
   int resolution_;
   std::vector<Histogram> epochs_;
 };
+
+// How many epochs, summed over all operations, SampledProfileSet::Parse
+// materializes before it rejects the input.  Every epoch up to the
+// highest index named is a full histogram, so this caps what a few
+// "sampled op epoch=N" lines can make the parser allocate (2^16 epochs:
+// tens of MiB).  A run that needs more should use a longer epoch_cycles.
+inline constexpr std::uint64_t kMaxParsedEpochs = std::uint64_t{1} << 16;
 
 // A set of sampled profiles, one per operation, sharing an epoch length.
 class SampledProfileSet {

@@ -162,25 +162,6 @@ Task<void> ClusterFsNode::CpuNoisy(osim::Cycles cycles) {
   co_await kernel_->Cpu(noisy);
 }
 
-ClusterFsNode::OpenFile& ClusterFsNode::file(int fd) {
-  if (fd < 0 || fd >= static_cast<int>(fds_.size()) ||
-      !fds_[static_cast<std::size_t>(fd)].in_use) {
-    throw std::invalid_argument("ClusterFsNode: bad file descriptor");
-  }
-  return fds_[static_cast<std::size_t>(fd)];
-}
-
-int ClusterFsNode::AllocFd(int inode) {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!fds_[i].in_use) {
-      fds_[i] = OpenFile{inode, 0, true};
-      return static_cast<int>(i);
-    }
-  }
-  fds_.push_back(OpenFile{inode, 0, true});
-  return static_cast<int>(fds_.size() - 1);
-}
-
 ClusterFsNode::LocalInode& ClusterFsNode::local(int inode) {
   while (static_cast<int>(locals_.size()) <= inode) {
     LocalInode li;
@@ -256,7 +237,7 @@ Task<int> ClusterFsNode::OpenImpl(const std::string& path, bool /*direct_io*/) {
   if (id < 0) {
     co_return -1;
   }
-  co_return AllocFd(id);
+  co_return fds_.Open(OpenFile{id, 0});
 }
 
 Task<void> ClusterFsNode::Close(int fd) {
@@ -265,7 +246,7 @@ Task<void> ClusterFsNode::Close(int fd) {
 
 Task<void> ClusterFsNode::CloseImpl(int fd) {
   co_await CpuNoisy(config_.costs.close_base);
-  file(fd).in_use = false;
+  fds_.Close(fd);
 }
 
 // --- Read -------------------------------------------------------------------
@@ -484,7 +465,7 @@ Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
   }
   li.i_sem->Release();
   dlm_->Release(res, osnet::DlmMode::kExclusive);
-  co_return AllocFd(id);
+  co_return fds_.Open(OpenFile{id, 0});
 }
 
 Task<void> ClusterFsNode::Unlink(const std::string& path) {

@@ -1,5 +1,9 @@
 #include "src/fs/page_cache.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace osfs {
 
 PageCache::PageCache(Kernel* kernel, SimDisk* disk,
@@ -29,7 +33,8 @@ bool PageCache::IoInProgress(const PageKey& key) const {
 
 void PageCache::Touch(const PageKey& key, PageState& state) {
   if (state.in_lru) {
-    lru_.erase(state.lru_pos);
+    lru_.splice(lru_.begin(), lru_, state.lru_pos);
+    return;
   }
   lru_.push_front(key);
   state.lru_pos = lru_.begin();
@@ -128,16 +133,22 @@ Task<void> PageCache::WriteBack(PageKey key) {
 
 int PageCache::FlushOlderThan(Cycles min_age) {
   const Cycles now = kernel_->now();
-  int submitted = 0;
+  // The submission order is the disk's queue order, so it must not depend
+  // on the hash table's layout.
+  std::vector<std::pair<PageKey, PageState*>> due;
   for (auto& [key, state] : OSIM_SHARED_RW(pages_)) {
     if (state.dirty && now - state.dirtied_at >= min_age) {
-      state.dirty = false;
-      ++writebacks_;
-      ++submitted;
-      disk_->Submit(osim::DiskOp::kWrite, state.lba, kBlocksPerPage, nullptr);
+      due.emplace_back(key, &state);
     }
   }
-  return submitted;
+  std::sort(due.begin(), due.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [key, state] : due) {
+    state->dirty = false;
+    ++writebacks_;
+    disk_->Submit(osim::DiskOp::kWrite, state->lba, kBlocksPerPage, nullptr);
+  }
+  return static_cast<int>(due.size());
 }
 
 namespace {

@@ -16,8 +16,8 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "src/sim/disk.h"
 #include "src/sim/kernel.h"
@@ -41,6 +41,15 @@ struct PageKey {
   int inode = 0;
   std::uint64_t page = 0;
   auto operator<=>(const PageKey&) const = default;
+};
+
+struct PageKeyHash {
+  std::size_t operator()(const PageKey& key) const {
+    // Fibonacci mixing of the two fields; pages of one file are dense.
+    return static_cast<std::size_t>(
+        (key.page * 0x9e3779b97f4a7c15ull) ^
+        (static_cast<std::uint64_t>(key.inode) * 0xc2b2ae3d27d4eb4full));
+  }
 };
 
 class PageCache {
@@ -73,7 +82,7 @@ class PageCache {
   Task<void> WriteBack(PageKey key);
 
   // Submits asynchronous writeback for every dirty page older than
-  // `min_age`; returns how many were submitted.
+  // `min_age`, in (inode, page) order; returns how many were submitted.
   int FlushOlderThan(Cycles min_age);
 
   // Spawns the bdflush-style daemon: every `interval` cycles it writes
@@ -119,8 +128,9 @@ class PageCache {
   // The page table's protocol spans awaits (StartRead submits, the caller
   // sleeps in WaitForPage, the completion validates), so it is a
   // race-checked cell.  lru_ and the counters below share its protocol:
-  // every mutation goes through an access recorded on this cell.
-  osim::Shared<std::map<PageKey, PageState>> pages_;
+  // every mutation goes through an access recorded on this cell.  Hashed:
+  // only FlushOlderThan's walk has an observable order, and it sorts.
+  osim::Shared<std::unordered_map<PageKey, PageState, PageKeyHash>> pages_;
   std::list<PageKey> lru_;  // Front = most recently used.
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

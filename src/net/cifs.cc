@@ -43,27 +43,6 @@ void CifsMount::SetProfiler(SimProfiler* profiler) {
   probes_.stat = profiler_->Resolve("stat");
 }
 
-CifsMount::ClientFile& CifsMount::file(int fd) {
-  if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size() ||
-      !fds_[static_cast<std::size_t>(fd)].in_use) {
-    throw std::invalid_argument("CifsMount: bad file descriptor");
-  }
-  return fds_[static_cast<std::size_t>(fd)];
-}
-
-int CifsMount::AllocFd() {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!fds_[i].in_use) {
-      fds_[i] = ClientFile{};
-      fds_[i].in_use = true;
-      return static_cast<int>(i);
-    }
-  }
-  fds_.emplace_back();
-  fds_.back().in_use = true;
-  return static_cast<int>(fds_.size() - 1);
-}
-
 void CifsMount::SendRequest(const std::string& label,
                             std::function<void()> on_server) {
   // A request packet carries any pending ACK (the Linux-client mechanism
@@ -336,7 +315,7 @@ Task<int> CifsMount::Open(const std::string& path, bool direct_io) {
   co_await kernel_->Cpu(config_.client_op_cpu);
   co_await FetchAttr(path);
   const RemoteAttr attr = OSIM_SHARED_RO(attr_cache_).at(path);
-  const int fd = AllocFd();
+  const int fd = fds_.Open({});
   ClientFile& f = file(fd);
   f.path = path;
   f.attr = attr;
@@ -355,7 +334,7 @@ Task<void> CifsMount::Close(int fd) {
   }
   const Cycles start = kernel_->ReadTsc();
   co_await kernel_->Cpu(config_.client_op_cpu / 2);
-  file(fd).in_use = false;
+  fds_.Close(fd);
   if (profiler_ != nullptr) {
     profiler_->EndSpan(probes_.close, kernel_->ReadTsc() - start);
   }
@@ -493,7 +472,7 @@ Task<int> CifsMount::Create(const std::string& path) {
   args.path = path;
   co_await SmallRoundTrip(std::move(args));
   OSIM_SHARED_RW(attr_cache_)[path] = RemoteAttr{0, false};
-  const int fd = AllocFd();
+  const int fd = fds_.Open({});
   ClientFile& f = file(fd);
   f.path = path;
   f.attr = OSIM_SHARED_RO(attr_cache_).at(path);

@@ -58,27 +58,6 @@ void NfsMount::SetProfiler(osprofilers::SimProfiler* profiler) {
   probes_.stat = profiler_->Resolve("stat");
 }
 
-NfsMount::ClientFile& NfsMount::file(int fd) {
-  if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size() ||
-      !fds_[static_cast<std::size_t>(fd)].in_use) {
-    throw std::invalid_argument("NfsMount: bad file descriptor");
-  }
-  return fds_[static_cast<std::size_t>(fd)];
-}
-
-int NfsMount::AllocFd() {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!fds_[i].in_use) {
-      fds_[i] = ClientFile{};
-      fds_[i].in_use = true;
-      return static_cast<int>(i);
-    }
-  }
-  fds_.emplace_back();
-  fds_.back().in_use = true;
-  return static_cast<int>(fds_.size() - 1);
-}
-
 bool NfsMount::AttrFresh(const std::string& path) const {
   auto it = attr_cache_.find(path);
   return it != attr_cache_.end() &&
@@ -244,7 +223,7 @@ Task<int> NfsMount::Open(const std::string& path, bool direct_io) {
   } else {
     ++attr_hits_;
   }
-  const int fd = AllocFd();
+  const int fd = fds_.Open({});
   ClientFile& f = file(fd);
   f.path = path;
   f.attr = attr_cache_[path].attr;
@@ -257,7 +236,7 @@ Task<int> NfsMount::Open(const std::string& path, bool direct_io) {
 Task<void> NfsMount::Close(int fd) {
   const Cycles start = kernel_->ReadTsc();
   co_await kernel_->Cpu(config_.client_op_cpu / 2);
-  file(fd).in_use = false;
+  fds_.Close(fd);
   if (profiler_ != nullptr) {
     profiler_->Record(probes_.close, kernel_->ReadTsc() - start);
   }
@@ -389,7 +368,7 @@ Task<int> NfsMount::Create(const std::string& path) {
   }
   attr_cache_[path] = CachedAttr{osfs::FileAttr{0, false}, kernel_->now()};
   dentry_cache_[path] = kernel_->now();
-  const int fd = AllocFd();
+  const int fd = fds_.Open({});
   ClientFile& f = file(fd);
   f.path = path;
   f.attr = attr_cache_[path].attr;

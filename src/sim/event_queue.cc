@@ -6,17 +6,25 @@
 
 namespace osim {
 
-void EventQueue::At(Cycles when, Action action) {
+EventQueue::~EventQueue() {
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    std::vector<Event>& bucket = buckets_[b];
+    // Bucket 0's slots before head_ have already run.
+    for (std::size_t i = b == 0 ? head_ : 0; i < bucket.size(); ++i) {
+      bucket[i].handler(bucket[i], /*run=*/false);
+    }
+  }
+}
+
+void EventQueue::CheckNotPast(Cycles when) const {
   if (when < now_) {
     throw std::logic_error("EventQueue: scheduling into the past");
   }
-  Place(when, std::move(action));
-  ++size_;
 }
 
-void EventQueue::Place(Cycles when, Action&& action) {
-  const int b = std::bit_width(when ^ last_);
-  buckets_[b].push_back(Event{when, std::move(action)});
+void EventQueue::Place(const Event& event) {
+  const int b = std::bit_width(event.when ^ last_);
+  buckets_[b].push_back(event);
   if (b > 0) {
     occupied_ |= std::uint64_t{1} << (b - 1);
   }
@@ -40,8 +48,8 @@ void EventQueue::Refill() {
   std::vector<Event>& bucket = LowestBucket();
   occupied_ &= occupied_ - 1;
   // Every event lands in a lower bucket, so `bucket` is not appended to.
-  for (Event& e : bucket) {
-    Place(e.when, std::move(e.action));
+  for (const Event& e : bucket) {
+    Place(e);
   }
   bucket.clear();
 }
@@ -53,11 +61,11 @@ bool EventQueue::Step() {
   if (head_ == buckets_[0].size()) {
     Refill();
   }
-  // Move the event out first: its action may append to bucket 0.
-  Event event = std::move(buckets_[0][head_++]);
+  // Copy the event out first: its action may append to bucket 0.
+  Event event = buckets_[0][head_++];
   --size_;
   now_ = event.when;
-  event.action();
+  event.handler(event, /*run=*/true);
   return true;
 }
 

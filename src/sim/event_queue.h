@@ -13,6 +13,13 @@
 // each event to a strictly lower bucket (so at most 64 times).  Buckets are
 // append-only and redistribution is stable, so same-timestamp events keep
 // insertion order without a sequence number.
+//
+// An event is a plain 32-byte record the heap moves with memcpy: its time,
+// a handler function pointer and 16 bytes of closure storage.  A trivially
+// copyable closure that fits (the scheduler's `[this, t]`-style captures)
+// lives in that storage; any other closure is boxed on the heap once, at
+// At(), and the storage holds the box pointer.  Moving an event between
+// buckets therefore never touches the closure.
 
 #ifndef OSPROF_SRC_SIM_EVENT_QUEUE_H_
 #define OSPROF_SRC_SIM_EVENT_QUEUE_H_
@@ -20,7 +27,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <functional>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/clock.h"
@@ -31,19 +42,35 @@ using osprof::Cycles;
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  // Destroys the closures of events that never ran.
+  ~EventQueue();
 
   Cycles now() const { return now_; }
 
-  // Schedules `action` to run at absolute time `when` (>= now).
-  void At(Cycles when, Action action);
+  // Schedules `action` (any void() callable, move-only ones included) to
+  // run at absolute time `when` (>= now).
+  template <typename F>
+  void At(Cycles when, F&& action) {
+    CheckNotPast(when);
+    Place(Event::Make(when, std::forward<F>(action)));
+    ++size_;
+  }
 
   // Schedules `action` to run `delay` cycles from now.
-  void After(Cycles delay, Action action) { At(now_ + delay, std::move(action)); }
+  template <typename F>
+  void After(Cycles delay, F&& action) {
+    At(now_ + delay, std::forward<F>(action));
+  }
 
   // Schedules `action` at the current time, after already-queued
   // same-timestamp events.
-  void Now(Action action) { At(now_, std::move(action)); }
+  template <typename F>
+  void Now(F&& action) {
+    At(now_, std::forward<F>(action));
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -59,7 +86,8 @@ class EventQueue {
   std::uint64_t RunAll();
 
   // Approximate heap footprint: the bucket arrays, consumed bucket-0 slots
-  // included (std::function targets are counted at their inline size).
+  // included.  Boxed closures (those that do not fit an event's inline
+  // storage) are not counted.
   std::size_t ApproxBytes() const {
     std::size_t bytes = 0;
     for (const auto& bucket : buckets_) {
@@ -70,12 +98,50 @@ class EventQueue {
 
  private:
   struct Event {
-    Cycles when;
-    Action action;
-  };
+    static constexpr std::size_t kInlineBytes = 16;
+    // Runs the stored closure (run = true) and releases it; with
+    // run = false only releases it.
+    using Handler = void (*)(Event& event, bool run);
 
-  // Appends to the bucket of `when` relative to `last_`.
-  void Place(Cycles when, Action&& action);
+    Cycles when;
+    Handler handler;
+    alignas(8) unsigned char storage[kInlineBytes];
+
+    template <typename F>
+    static Event Make(Cycles when, F&& action) {
+      using Fn = std::decay_t<F>;
+      Event e{};
+      e.when = when;
+      if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= 8 &&
+                    std::is_trivially_copyable_v<Fn>) {
+        // Trivially copyable: the event's memcpy moves are valid copies,
+        // and there is nothing to destroy.
+        ::new (static_cast<void*>(e.storage)) Fn(std::forward<F>(action));
+        e.handler = [](Event& self, bool run) {
+          if (run) {
+            (*std::launder(reinterpret_cast<Fn*>(self.storage)))();
+          }
+        };
+      } else {
+        Fn* box = new Fn(std::forward<F>(action));
+        std::memcpy(e.storage, &box, sizeof(box));
+        e.handler = [](Event& self, bool run) {
+          Fn* raw = nullptr;
+          std::memcpy(&raw, self.storage, sizeof(raw));
+          const std::unique_ptr<Fn> owned(raw);
+          if (run) {
+            (*owned)();
+          }
+        };
+      }
+      return e;
+    }
+  };
+  static_assert(std::is_trivially_copyable_v<Event>);
+
+  void CheckNotPast(Cycles when) const;
+  // Appends to the bucket of `event.when` relative to `last_`.
+  void Place(const Event& event);
   // The lowest non-empty bucket above 0; requires `occupied_ != 0`.
   std::vector<Event>& LowestBucket() {
     return buckets_[std::countr_zero(occupied_) + 1];

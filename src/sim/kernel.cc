@@ -1,7 +1,9 @@
 #include "src/sim/kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace osim {
 namespace {
@@ -23,7 +25,6 @@ Kernel::Kernel(KernelConfig config)
     throw std::invalid_argument(
         "num_nodes must divide num_cpus (contiguous even partition)");
   }
-  cpus_.resize(static_cast<std::size_t>(config_.num_cpus));
   config_.tsc_skew.resize(static_cast<std::size_t>(config_.num_cpus), 0);
   const int per_node = config_.num_cpus / config_.num_nodes;
   nodes_.resize(static_cast<std::size_t>(config_.num_nodes));
@@ -33,9 +34,10 @@ Kernel::Kernel(KernelConfig config)
     node.id_ = n;
     node.first_cpu_ = n * per_node;
     node.num_cpus_ = per_node;
-    node.idle_cpus_ = per_node;
+    node.idle_mask_.resize(static_cast<std::size_t>((per_node + 63) / 64));
     for (int c = node.first_cpu_; c < node.first_cpu_ + per_node; ++c) {
       node_of_cpu_[static_cast<std::size_t>(c)] = n;
+      node.MarkIdle(c);
     }
   }
   lock_order_.set_context(&context_);
@@ -107,41 +109,38 @@ void Kernel::MakeRunnable(SimThread* t) {
 }
 
 void Kernel::DispatchIdle(Node& node) {
-  // Fast path: under load every CPU is busy, and a wakeup must not pay an
-  // O(num_cpus) scan to learn that (million-task churn makes this the
-  // hottest scheduler branch).  The counter only skips the scan; when a
-  // CPU is free the scan below runs in the same ascending order as
-  // always, so thread placement -- and with it per-CPU TSC skew -- is
-  // unchanged.  The scan covers only this node's CPU slice: a node's run
-  // queue never feeds another node's CPUs.
-  if (node.idle_cpus_ == 0) {
+  // A queued thread starts a switch on every idle CPU of its node; one
+  // whose switch completes after the queue drained goes idle again.  The
+  // switches of one mask word complete in one event, in ascending CPU
+  // order -- exactly as per-CPU events posted by an ascending scan would,
+  // so thread placement (and with it TSC skew) is unchanged.  A node's
+  // run queue never feeds another node's CPUs.
+  if (node.run_queue_.empty()) {
     return;
   }
-  for (int c = node.first_cpu_; c < node.first_cpu_ + node.num_cpus_; ++c) {
-    if (node.run_queue_.empty()) {
-      return;
+  for (std::size_t w = 0; w < node.idle_mask_.size(); ++w) {
+    const std::uint64_t cpus = std::exchange(node.idle_mask_[w], 0);
+    if (cpus == 0) {
+      continue;
     }
-    CpuState& cpu = cpus_[static_cast<std::size_t>(c)];
-    if (cpu.running == nullptr && !cpu.switching) {
-      BeginSwitch(node, c);
-    }
+    context_switches_ += static_cast<std::uint64_t>(std::popcount(cpus));
+    switch_batches_.push_back(
+        SwitchBatch{&node, node.first_cpu_ + 64 * static_cast<int>(w), cpus});
+    events_.After(config_.context_switch_cost, [this] { CompleteSwitches(); });
   }
 }
 
-void Kernel::BeginSwitch(Node& node, int c) {
-  cpus_[static_cast<std::size_t>(c)].switching = true;
-  --node.idle_cpus_;
-  ++context_switches_;
-  events_.After(config_.context_switch_cost, [this, c] { CompleteSwitch(c); });
+void Kernel::CompleteSwitches() {
+  const SwitchBatch batch = switch_batches_.front();
+  switch_batches_.pop_front();
+  for (std::uint64_t cpus = batch.cpus; cpus != 0; cpus &= cpus - 1) {
+    CompleteSwitch(*batch.node, batch.first_cpu + std::countr_zero(cpus));
+  }
 }
 
-void Kernel::CompleteSwitch(int c) {
-  CpuState& cpu = cpus_[static_cast<std::size_t>(c)];
-  Node& node = nodes_[static_cast<std::size_t>(
-      node_of_cpu_[static_cast<std::size_t>(c)])];
-  cpu.switching = false;
+void Kernel::CompleteSwitch(Node& node, int c) {
   if (node.run_queue_.empty()) {
-    ++node.idle_cpus_;
+    node.MarkIdle(c);
     return;  // Everyone found a CPU elsewhere; stay idle.
   }
   SimThread* t = node.run_queue_.front();
@@ -153,7 +152,6 @@ void Kernel::CompleteSwitch(int c) {
                     events_.now(), t->node_);
   t->last_cpu_ = c;
   t->cpu_ = c;
-  cpu.running = t;
   t->quantum_remaining_ = config_.quantum;
   if (t->burst_remaining_ > 0) {
     // The thread was preempted mid-burst; continue the burst rather than
@@ -191,10 +189,9 @@ void Kernel::ResumeThread(SimThread* t) {
 
 void Kernel::ReleaseCpuOf(SimThread* t) {
   if (t->cpu_ >= 0) {
-    cpus_[static_cast<std::size_t>(t->cpu_)].running = nullptr;
-    t->cpu_ = -1;
     Node& node = nodes_[static_cast<std::size_t>(t->node_)];
-    ++node.idle_cpus_;
+    node.MarkIdle(t->cpu_);
+    t->cpu_ = -1;
     DispatchIdle(node);
   }
 }

@@ -219,13 +219,17 @@ class Node {
 
  private:
   friend class Kernel;
+  void MarkIdle(int cpu) {
+    const int i = cpu - first_cpu_;
+    idle_mask_[static_cast<std::size_t>(i / 64)] |= 1ull << (i % 64);
+  }
+
   int id_ = 0;
   int first_cpu_ = 0;
   int num_cpus_ = 0;
   // CPUs of this node with no running thread and no switch in flight:
-  // a wakeup skips the per-CPU scan entirely when this is zero (the
-  // common case under load; the scan was O(num_cpus) per wakeup).
-  int idle_cpus_ = 0;
+  // bit i of word w is CPU first_cpu + 64*w + i.
+  std::vector<std::uint64_t> idle_mask_;
   ChunkedQueue<SimThread*> run_queue_;
 };
 
@@ -375,9 +379,15 @@ class Kernel {
   friend class WaitQueue;
   friend class SimDisk;
 
-  struct CpuState {
-    SimThread* running = nullptr;
-    bool switching = false;
+  // Context switches begun together on one idle-mask word: bit i is CPU
+  // first_cpu + i.  A CPU is idle (bit set in idle_mask_), switching (in a
+  // pending batch) or running the thread whose cpu() it is.  Every switch
+  // takes context_switch_cost, so batches complete in the order they
+  // began, and one FIFO serves the whole machine.
+  struct SwitchBatch {
+    Node* node;
+    int first_cpu;
+    std::uint64_t cpus;
   };
 
   struct CpuAwaitable {
@@ -410,8 +420,9 @@ class Kernel {
   // run queue feeds that node's CPUs only.
   void MakeRunnable(SimThread* t);
   void DispatchIdle(Node& node);
-  void BeginSwitch(Node& node, int cpu);
-  void CompleteSwitch(int cpu);
+  // Completes the oldest pending SwitchBatch, CPUs in ascending order.
+  void CompleteSwitches();
+  void CompleteSwitch(Node& node, int cpu);
   void ResumeThread(SimThread* t);
   void StartBurst(SimThread* t, Cycles cycles, ExecMode mode);
   void ScheduleSlice(SimThread* t);
@@ -439,10 +450,10 @@ class Kernel {
   RaceTracker race_tracker_;
   RequestContext context_;
   InterferenceChannel channel_;
-  std::vector<CpuState> cpus_;
-  // Per-node scheduling state (run queue + idle-CPU count), deque because
+  // Per-node scheduling state (run queue + idle-CPU mask), deque because
   // Node embeds a non-movable ChunkedQueue.  Sized once at construction.
   std::deque<Node> nodes_;
+  ChunkedQueue<SwitchBatch, 64> switch_batches_;
   std::vector<int> node_of_cpu_;
   std::vector<std::unique_ptr<SimThread>> threads_;
   SimThread* current_ = nullptr;

@@ -159,6 +159,61 @@ TEST(SampledProfileSet, ParseRejectsGarbage) {
       std::runtime_error);  // Unterminated.
 }
 
+TEST(SampledProfileSet, ParseRejectsSignedAndMalformedNumbers) {
+  const auto block = [](const std::string& attrs, const std::string& count) {
+    return "epoch_cycles 1000\nsampled op " + attrs + "\n  bucket 3 " +
+           count + "\nend\n";
+  };
+  EXPECT_NO_THROW(SampledProfileSet::ParseString(
+      block("epoch=1 recorded=2 total_latency=20", "2")));
+  for (const char* attrs :
+       {"epoch=1 recorded=-1", "epoch=1 total_latency=-5",
+        "epoch=-1 recorded=2", "epoch=1x recorded=2", "epoch= recorded=2",
+        "epoch=1 recorded=99999999999999999999"}) {
+    SCOPED_TRACE(attrs);
+    EXPECT_THROW(SampledProfileSet::ParseString(block(attrs, "2")),
+                 std::runtime_error);
+  }
+  EXPECT_THROW(SampledProfileSet::ParseString(block("epoch=1", "-2")),
+               std::runtime_error);
+}
+
+TEST(SampledProfileSet, ParseRejectsZeroOrSignedEpochCycles) {
+  const std::string body = "sampled op epoch=0\nend\n";
+  EXPECT_EQ(SampledProfileSet::ParseString("epoch_cycles 7\n" + body)
+                .epoch_cycles(),
+            7u);
+  EXPECT_THROW(SampledProfileSet::ParseString("epoch_cycles 0\n" + body),
+               std::runtime_error);
+  EXPECT_THROW(SampledProfileSet::ParseString("epoch_cycles -3\n" + body),
+               std::runtime_error);
+}
+
+// An epoch index makes the parser materialize every epoch below it, so
+// the epochs a file can demand are bounded in total: one huge index, an
+// index that would wrap an int, or many large indexes spread over
+// operations all fail before allocating.
+TEST(SampledProfileSet, ParseBoundsMaterializedEpochs) {
+  const std::uint64_t last = kMaxParsedEpochs - 1;
+  const SampledProfileSet at_bound = SampledProfileSet::ParseString(
+      "sampled op epoch=" + std::to_string(last) + "\nend\n");
+  EXPECT_EQ(at_bound.Find("op")->num_epochs(),
+            static_cast<int>(kMaxParsedEpochs));
+  for (const std::string& index :
+       {std::to_string(kMaxParsedEpochs), std::string("200000000"),
+        std::string("4294967296")}) {
+    SCOPED_TRACE(index);
+    EXPECT_THROW(
+        SampledProfileSet::ParseString("sampled op epoch=" + index + "\nend\n"),
+        std::runtime_error);
+  }
+  const std::string half = std::to_string(kMaxParsedEpochs / 2);
+  EXPECT_THROW(SampledProfileSet::ParseString(
+                   "sampled a epoch=" + half + "\nend\nsampled b epoch=" +
+                   half + "\nend\n"),
+               std::runtime_error);
+}
+
 TEST(SampledProfileSet, RenderGnuplot3DEmitsClassedPoints) {
   SampledProfileSet set(1000, 1);
   for (int i = 0; i < 500; ++i) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 namespace osfs {
 namespace {
 
@@ -121,6 +125,65 @@ TEST(PageCache, LruEvictionPrefersColdPages) {
   EXPECT_FALSE(cache.Contains(PageKey{1, 1}));
   EXPECT_TRUE(cache.Contains(PageKey{1, 0}));
   EXPECT_TRUE(cache.Contains(PageKey{1, 3}));
+}
+
+// Writes submitted to the default FIFO disk complete in submission order,
+// so the request observer sees the order in which the cache submitted.
+TEST(PageCache, FlushSubmitsInInodePageOrderWhateverTheInsertionOrder) {
+  Kernel k(QuietConfig());
+  SimDisk disk(&k);
+  std::vector<std::uint64_t> submitted;
+  disk.SetRequestObserver(
+      [&submitted](const osim::DiskRequestInfo& info) {
+        submitted.push_back(info.lba);
+      });
+  PageCache cache(&k, &disk, 100);
+  const std::vector<PageKey> keys = {{3, 2}, {1, 9}, {2, 0}, {1, 0},
+                                     {3, 0}, {2, 7}, {1, 2}, {10, 1}};
+  const auto lba = [](const PageKey& key) {
+    return static_cast<std::uint64_t>(key.inode) * 100'000 + key.page * 8;
+  };
+  for (const PageKey& key : keys) {
+    cache.MarkDirty(key, lba(key));
+  }
+  EXPECT_EQ(cache.FlushOlderThan(0), static_cast<int>(keys.size()));
+  k.RunFor(osim::Cycles{1} << 36);
+  std::vector<PageKey> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::uint64_t> want;
+  for (const PageKey& key : sorted) {
+    want.push_back(lba(key));
+  }
+  EXPECT_EQ(submitted, want);
+}
+
+// Hits interleaved with insertions reorder the LRU; evictions (here,
+// writebacks of dirty pages) follow exactly that order.
+TEST(PageCache, LruEvictionOrderFollowsInterleavedHits) {
+  Kernel k(QuietConfig());
+  SimDisk disk(&k);
+  std::vector<std::uint64_t> evicted;
+  disk.SetRequestObserver([&evicted](const osim::DiskRequestInfo& info) {
+    evicted.push_back(info.lba / 8);
+  });
+  PageCache cache(&k, &disk, 4);
+  const auto insert = [&cache](std::uint64_t page) {
+    cache.MarkDirty(PageKey{1, page}, page * 8);
+  };
+  for (std::uint64_t page = 0; page < 4; ++page) {
+    insert(page);  // LRU, hottest first: 3 2 1 0.
+  }
+  EXPECT_TRUE(cache.Contains(PageKey{1, 1}));  // 1 3 2 0
+  EXPECT_TRUE(cache.Contains(PageKey{1, 0}));  // 0 1 3 2
+  insert(4);                                   // Evicts 2.
+  EXPECT_TRUE(cache.Contains(PageKey{1, 3}));  // 3 4 0 1
+  insert(5);                                   // Evicts 1.
+  insert(6);                                   // Evicts 0.
+  EXPECT_TRUE(cache.Contains(PageKey{1, 4}));  // 4 6 5 3
+  insert(7);                                   // Evicts 3.
+  k.RunFor(osim::Cycles{1} << 36);
+  EXPECT_EQ(evicted, (std::vector<std::uint64_t>{2, 1, 0, 3}));
+  EXPECT_EQ(cache.evictions(), 4u);
 }
 
 TEST(PageCache, EvictingDirtyPageWritesItBack) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 namespace osim {
@@ -236,6 +239,71 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty) {
   q.At(1, [] {});
   EXPECT_TRUE(q.Step());
   EXPECT_FALSE(q.Step());
+}
+
+TEST(EventQueue, MoveOnlyClosureRunsOnce) {
+  EventQueue q;
+  int runs = 0;
+  auto one = std::make_unique<int>(1);
+  q.At(5, [&runs, one = std::move(one)] { runs += *one; });
+  q.RunAll();
+  EXPECT_EQ(runs, 1);
+}
+
+// Counts destructions of the closure's capture, copies included, so the
+// test sees both "destroyed" and "destroyed twice".
+struct DestructionCounter {
+  int* destroyed;
+  std::array<char, 32> padding{};  // Too big to store inline.
+  explicit DestructionCounter(int* d) : destroyed(d) {}
+  DestructionCounter(const DestructionCounter&) = delete;
+  DestructionCounter(DestructionCounter&& other) noexcept
+      : destroyed(std::exchange(other.destroyed, nullptr)) {}
+  ~DestructionCounter() {
+    if (destroyed != nullptr) {
+      ++*destroyed;
+    }
+  }
+};
+
+TEST(EventQueue, PendingBoxedClosuresAreDestroyedOnceWithTheQueue) {
+  int destroyed = 0;
+  int ran = 0;
+  {
+    EventQueue q;
+    for (Cycles when : {Cycles{1}, Cycles{1}, Cycles{1000}, Cycles{1} << 40}) {
+      q.At(when, [&ran, c = DestructionCounter(&destroyed)] { ++ran; });
+    }
+    q.RunUntil(1);  // The two at t=1 run; the other two stay pending.
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(destroyed, 2);
+  }
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(destroyed, 4);
+}
+
+TEST(EventQueue, SameTimestampFifoAcrossInlineAndBoxedEvents) {
+  EventQueue q;
+  std::vector<int> order;
+  const std::string tag = "boxed";  // A std::string capture is boxed.
+  for (int i = 0; i < 12; ++i) {
+    if (i % 3 == 0) {
+      q.At(7, [&order, i, tag] { order.push_back(tag == "boxed" ? i : -100); });
+    } else {
+      q.At(7, [&order, i] { order.push_back(i); });
+    }
+  }
+  // Drive the queue through a refill so the batch is redistributed.
+  q.At(3, [&order, &q] {
+    order.push_back(-1);
+    q.Now([&order] { order.push_back(-2); });
+  });
+  q.RunAll();
+  std::vector<int> want = {-1, -2};
+  for (int i = 0; i < 12; ++i) {
+    want.push_back(i);
+  }
+  EXPECT_EQ(order, want);
 }
 
 }  // namespace
