@@ -1,7 +1,10 @@
 #include "src/fs/cluster_fs.h"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace osfs {
 
@@ -406,7 +409,7 @@ Task<void> ClusterFsNode::FsyncImpl(int fd) {
   co_await CpuNoisy(config_.costs.fsync_base);
   // PR, not EX: dirty pages imply this node already holds a cached EX
   // grant, so the acquire is a local hit; if there is nothing dirty the
-  // flush loop is empty anyway.
+  // flush writes nothing anyway.
   const std::string res = InodeResource(f.inode);
   co_await dlm_->Acquire(res, osnet::DlmMode::kProtectedRead);
   LocalInode& li = local(f.inode);
@@ -416,13 +419,7 @@ Task<void> ClusterFsNode::FsyncImpl(int fd) {
     const ClusterInodeMeta& meta = OSIM_SHARED_RO(volume_->meta(f.inode));
     pages = PagesOf(meta.size);
   }
-  for (std::uint64_t page = 0; page < pages; ++page) {
-    const PageKey key{f.inode, page};
-    if (cache_.IsDirty(key)) {
-      co_await cache_.WriteBack(key);
-      ++pages_flushed_;
-    }
-  }
+  pages_flushed_ += co_await cache_.WriteBackInode(f.inode, pages);
   li.i_sem->Release();
   dlm_->Release(res, osnet::DlmMode::kProtectedRead);
 }
@@ -532,11 +529,20 @@ Task<FileAttr> ClusterFsNode::StatImpl(const std::string& path) {
 // --- The DLM downgrade hook -------------------------------------------------
 
 Task<void> ClusterFsNode::FlushResource(const std::string& resource) {
-  constexpr const char kPrefix[] = "inode:";
-  if (resource.rfind(kPrefix, 0) != 0) {
+  // Only "inode:<id>" with <id> an inode of this volume names an inode;
+  // any other resource has nothing cached to flush.
+  constexpr std::string_view kPrefix = "inode:";
+  const std::string_view name = resource;
+  if (!name.starts_with(kPrefix)) {
     co_return;
   }
-  const int inode = std::stoi(resource.substr(sizeof(kPrefix) - 1));
+  const std::string_view id = name.substr(kPrefix.size());
+  int inode = -1;
+  const auto parsed = std::from_chars(id.data(), id.data() + id.size(), inode);
+  if (parsed.ec != std::errc() || parsed.ptr != id.data() + id.size() ||
+      inode < 0 || inode >= volume_->num_inodes()) {
+    co_return;
+  }
   // Runs in the node's DLM daemon; i_sem orders the flush against local
   // clients still finishing an operation under the cached grant.
   LocalInode& li = local(inode);
@@ -546,13 +552,7 @@ Task<void> ClusterFsNode::FlushResource(const std::string& resource) {
     const ClusterInodeMeta& meta = OSIM_SHARED_RO(volume_->meta(inode));
     pages = PagesOf(meta.size);
   }
-  for (std::uint64_t page = 0; page < pages; ++page) {
-    const PageKey key{inode, page};
-    if (cache_.IsDirty(key)) {
-      co_await cache_.WriteBack(key);
-      ++pages_flushed_;
-    }
-  }
+  pages_flushed_ += co_await cache_.WriteBackInode(inode, pages);
   li.i_sem->Release();
 }
 

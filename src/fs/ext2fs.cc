@@ -344,12 +344,7 @@ Task<void> Ext2SimFs::FsyncImpl(int fd) {
   Inode& node = inode(f.inode);
   co_await CpuNoisy(config_.costs.fsync_base);
   const std::uint64_t pages = (node.size + kPageBytes - 1) / kPageBytes;
-  for (std::uint64_t page = 0; page < pages; ++page) {
-    const PageKey key{node.id, page};
-    if (cache_.IsDirty(key)) {
-      co_await cache_.WriteBack(key);
-    }
-  }
+  (void)co_await cache_.WriteBackInode(node.id, pages);
 }
 
 // --- Llseek (§6.1) ----------------------------------------------------------

@@ -1,8 +1,7 @@
 #include "src/fs/page_cache.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
+#include <bit>
 
 namespace osfs {
 
@@ -108,6 +107,7 @@ void PageCache::MarkDirty(const PageKey& key, std::uint64_t lba) {
   if (!state.dirty) {
     state.dirty = true;
     state.dirtied_at = kernel_->now();
+    SetDirtyBit(key);
   }
   Touch(key, state);
   EvictIfNeeded();
@@ -126,29 +126,91 @@ Task<void> PageCache::WriteBack(PageKey key) {
     co_return;
   }
   it->second.dirty = false;
+  ClearDirtyBit(key);
   ++writebacks_;
   const std::uint64_t lba = it->second.lba;
   (void)co_await disk_->SyncWrite(lba, kBlocksPerPage);
 }
 
-int PageCache::FlushOlderThan(Cycles min_age) {
-  const Cycles now = kernel_->now();
-  // The submission order is the disk's queue order, so it must not depend
-  // on the hash table's layout.
-  std::vector<std::pair<PageKey, PageState*>> due;
-  for (auto& [key, state] : OSIM_SHARED_RW(pages_)) {
-    if (state.dirty && now - state.dirtied_at >= min_age) {
-      due.emplace_back(key, &state);
+Task<std::uint64_t> PageCache::WriteBackInode(int inode,
+                                              std::uint64_t end_page) {
+  std::uint64_t written = 0;
+  for (std::uint64_t page = NextDirty(inode, 0, end_page); page < end_page;
+       page = NextDirty(inode, page + 1, end_page)) {
+    co_await WriteBack(PageKey{inode, page});
+    ++written;
+  }
+  co_return written;
+}
+
+std::uint64_t PageCache::NextDirty(int inode, std::uint64_t from,
+                                   std::uint64_t end) const {
+  if (from >= end) {
+    return end;  // A scan that has reached its end reads nothing more.
+  }
+  (void)OSIM_SHARED_RO(pages_);
+  for (std::size_t i = WordIndex(PageKey{inode, from});
+       i < dirty_.size() && dirty_[i].first.inode == inode &&
+       dirty_[i].first.page < end;
+       ++i) {
+    const DirtyWord& word = dirty_[i];
+    std::uint64_t set = word.bits;
+    if (word.first.page < from) {  // The word holding `from`.
+      set &= ~std::uint64_t{0} << (from - word.first.page);
+    }
+    if (set != 0) {
+      return std::min(end, word.first.page + std::countr_zero(set));
     }
   }
-  std::sort(due.begin(), due.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, state] : due) {
-    state->dirty = false;
-    ++writebacks_;
-    disk_->Submit(osim::DiskOp::kWrite, state->lba, kBlocksPerPage, nullptr);
+  return end;
+}
+
+std::size_t PageCache::WordIndex(const PageKey& key) const {
+  const PageKey first{key.inode, key.page - key.page % 64};
+  return static_cast<std::size_t>(
+      std::lower_bound(dirty_.begin(), dirty_.end(), first,
+                       [](const DirtyWord& word, const PageKey& k) {
+                         return word.first < k;
+                       }) -
+      dirty_.begin());
+}
+
+void PageCache::SetDirtyBit(const PageKey& key) {
+  const PageKey first{key.inode, key.page - key.page % 64};
+  auto it = dirty_.begin() + static_cast<std::ptrdiff_t>(WordIndex(key));
+  if (it == dirty_.end() || it->first != first) {
+    it = dirty_.insert(it, DirtyWord{first});
   }
-  return static_cast<int>(due.size());
+  it->bits |= std::uint64_t{1} << (key.page % 64);
+}
+
+void PageCache::ClearDirtyBit(const PageKey& key) {
+  // The page is dirty, so SetDirtyBit added its word.
+  dirty_[WordIndex(key)].bits &= ~(std::uint64_t{1} << (key.page % 64));
+}
+
+int PageCache::FlushOlderThan(Cycles min_age) {
+  const Cycles now = kernel_->now();
+  auto& pages = OSIM_SHARED_RW(pages_);
+  // The submission order is the disk's queue order, so it must not depend
+  // on the hash table's layout: walk the index in (inode, page) order.
+  int submitted = 0;
+  for (DirtyWord& word : dirty_) {
+    for (std::uint64_t set = word.bits; set != 0; set &= set - 1) {
+      const int bit = std::countr_zero(set);
+      PageState& state =
+          pages.find(PageKey{word.first.inode, word.first.page + bit})->second;
+      if (now - state.dirtied_at < min_age) {
+        continue;
+      }
+      state.dirty = false;
+      word.bits &= ~(std::uint64_t{1} << bit);
+      ++writebacks_;
+      ++submitted;
+      disk_->Submit(osim::DiskOp::kWrite, state.lba, kBlocksPerPage, nullptr);
+    }
+  }
+  return submitted;
 }
 
 namespace {
@@ -218,6 +280,7 @@ void PageCache::EvictIfNeeded() {
     }
     if (state.dirty) {
       // Asynchronous writeback on eviction.
+      ClearDirtyBit(victim);
       ++writebacks_;
       disk_->Submit(osim::DiskOp::kWrite, state.lba, kBlocksPerPage, nullptr);
     }

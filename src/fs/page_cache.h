@@ -18,6 +18,7 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "src/sim/disk.h"
 #include "src/sim/kernel.h"
@@ -81,6 +82,14 @@ class PageCache {
   // Writes one dirty page synchronously (fsync path); no-op if clean.
   Task<void> WriteBack(PageKey key);
 
+  // Writes back `inode`'s dirty pages below `end_page` one at a time, in
+  // page order, and returns how many it wrote: fsync and the cluster
+  // FS's revoke flush.  Like Linux's walk of the mapping's dirty tag, it
+  // visits only dirty pages.  After each write it looks up the next dirty
+  // page past the one written, so a page dirtied or evicted meanwhile is
+  // seen exactly as a page-by-page scan would see it.
+  Task<std::uint64_t> WriteBackInode(int inode, std::uint64_t end_page);
+
   // Submits asynchronous writeback for every dirty page older than
   // `min_age`, in (inode, page) order; returns how many were submitted.
   int FlushOlderThan(Cycles min_age);
@@ -118,9 +127,22 @@ class PageCache {
     std::list<PageKey>::iterator lru_pos;
     bool in_lru = false;
   };
+  // 64 consecutive pages of one inode in the dirty index: bit i stands
+  // for page first.page + i, and first.page is a multiple of 64.
+  struct DirtyWord {
+    PageKey first;
+    std::uint64_t bits = 0;
+  };
 
   void Touch(const PageKey& key, PageState& state);
   void EvictIfNeeded();
+  // The index of the first word at or after the one holding `key`.
+  std::size_t WordIndex(const PageKey& key) const;
+  void SetDirtyBit(const PageKey& key);
+  void ClearDirtyBit(const PageKey& key);
+  // The first dirty page of `inode` in [from, end), or `end` if none.
+  std::uint64_t NextDirty(int inode, std::uint64_t from,
+                          std::uint64_t end) const;
 
   Kernel* kernel_;
   SimDisk* disk_;
@@ -129,9 +151,16 @@ class PageCache {
   // sleeps in WaitForPage, the completion validates), so it is a
   // race-checked cell.  lru_ and the counters below share its protocol:
   // every mutation goes through an access recorded on this cell.  Hashed:
-  // only FlushOlderThan's walk has an observable order, and it sorts.
+  // the walks with an observable order go through dirty_ instead.
   osim::Shared<std::unordered_map<PageKey, PageState, PageKeyHash>> pages_;
   std::list<PageKey> lru_;  // Front = most recently used.
+  // The dirty-page index, under pages_'s protocol.  Invariant: {inode,
+  // page} has its bit set iff pages_ holds it with `dirty` set.  MarkDirty
+  // sets bits; WriteBack, FlushOlderThan and the eviction of a dirty page
+  // clear them.  Sorted by `first`, so a walk in (inode, page) order needs
+  // no sort.  A word stays once added, even when all its bits clear, so
+  // dirtying a page again allocates nothing.
+  std::vector<DirtyWord> dirty_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t reads_started_ = 0;

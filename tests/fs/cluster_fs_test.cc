@@ -139,8 +139,8 @@ TEST(ClusterFs, DowngradeFlushesDirtyPagesBeforeTheGrantMoves) {
                     ReadSlice(&fx, 1, 400'000'000, 0, 32'768));
   fx.kernel.RunUntilThreadsFinish();
   // Node 0's dirty pages were written back by its downgrade hook, not
-  // lost: the revoke path flushed before surrendering EX.
-  EXPECT_GT(fx.mounts[0]->pages_flushed(), 0u);
+  // lost: the revoke path flushed all 8 before surrendering EX.
+  EXPECT_EQ(fx.mounts[0]->pages_flushed(), 8u);
   EXPECT_GE(fx.dlm.downgrades(), 1u);
 }
 
@@ -158,7 +158,51 @@ TEST(ClusterFs, FsyncWritesBackDirtyPages) {
   fx.remaining = 1;
   fx.kernel.SpawnOn(0, "w", FsyncAfterWrite(&fx));
   fx.kernel.RunUntilThreadsFinish();
-  EXPECT_GT(fx.mounts[0]->pages_flushed(), 0u);
+  EXPECT_EQ(fx.mounts[0]->pages_flushed(), 4u);  // 16 KiB.
+}
+
+// Node 0 dirties the file and caches an EX grant on `resource`; node 1's
+// EX request then revokes that grant, running node 0's downgrade hook on
+// `resource`.
+osim::Task<void> DirtyThenLock(Fixture* fx, std::string resource) {
+  Vfs* fs = fx->mounts[0].get();
+  const int fd = co_await fs->Open("/shared/data", false);
+  co_await fs->Write(fd, 16'384);
+  co_await fs->Close(fd);
+  co_await fx->dlm.Acquire(resource, osnet::DlmMode::kExclusive);
+  fx->dlm.Release(resource, osnet::DlmMode::kExclusive);
+  fx->ClientDone();
+}
+
+osim::Task<void> LockLater(Fixture* fx, std::string resource) {
+  co_await fx->kernel.Sleep(400'000'000);
+  co_await fx->dlm.Acquire(resource, osnet::DlmMode::kExclusive);
+  fx->dlm.Release(resource, osnet::DlmMode::kExclusive);
+  fx->ClientDone();
+}
+
+TEST(ClusterFs, DowngradeHookFlushesOnlyForAnExactInodeName) {
+  const auto flushed = [](const std::string& resource) {
+    Fixture fx;
+    fx.remaining = 2;
+    fx.kernel.SpawnOn(0, "w", DirtyThenLock(&fx, resource));
+    fx.kernel.SpawnOn(1, "r", LockLater(&fx, resource));
+    fx.kernel.RunUntilThreadsFinish();
+    EXPECT_GE(fx.dlm.downgrades(), 1u) << resource;
+    return fx.mounts[0]->pages_flushed();
+  };
+  const int data = Fixture().volume.ResolvePath("/shared/data");
+  const std::string name = "inode:" + std::to_string(data);
+  EXPECT_EQ(flushed(name), 4u);
+  // Not inode names: a trailing or leading extra, no digits, a sign, an
+  // id the volume does not have.
+  for (const std::string& bad :
+       {name + "x", name + " ", "inode: " + std::to_string(data),
+        "inode:+" + std::to_string(data), std::string("inode:"),
+        std::string("inode:abc"), std::string("inode:-1"),
+        std::string("inode:99999"), std::string("inode:99999999999")}) {
+    EXPECT_EQ(flushed(bad), 0u) << bad;
+  }
 }
 
 osim::Task<void> CreateWriteStatUnlink(Fixture* fx) {

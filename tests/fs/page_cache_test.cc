@@ -208,6 +208,120 @@ TEST(PageCache, FlusherDaemonRunsPeriodically) {
   EXPECT_GE(cache.writebacks(), 1u);
 }
 
+// Runs WriteBackInode to completion and returns its count.
+std::uint64_t WriteBackAll(Kernel& k, PageCache& cache, int inode,
+                           std::uint64_t end_page) {
+  std::uint64_t written = 0;
+  auto syncer = [](PageCache& c, int ino, std::uint64_t end,
+                   std::uint64_t* out) -> Task<void> {
+    *out = co_await c.WriteBackInode(ino, end);
+  };
+  k.Spawn("s", syncer(cache, inode, end_page, &written));
+  k.RunUntilThreadsFinish();
+  return written;
+}
+
+TEST(PageCache, WriteBackInodeWritesInPageOrderBelowTheEnd) {
+  Kernel k(QuietConfig());
+  SimDisk disk(&k);
+  std::vector<std::uint64_t> written;
+  disk.SetRequestObserver([&written](const osim::DiskRequestInfo& info) {
+    written.push_back(info.lba / 8);
+  });
+  PageCache cache(&k, &disk, 100);
+  // Out of order and across the 64-page word boundary, plus a page past
+  // the end and another inode's page at an index the walk covers.
+  for (const std::uint64_t page : {200, 64, 3, 300, 63}) {
+    cache.MarkDirty(PageKey{1, page}, page * 8);
+  }
+  cache.MarkDirty(PageKey{2, 5}, 5'000 * 8);
+  EXPECT_EQ(WriteBackAll(k, cache, 1, 256), 4u);
+  EXPECT_EQ(written, (std::vector<std::uint64_t>{3, 63, 64, 200}));
+  EXPECT_EQ(cache.writebacks(), 4u);
+  EXPECT_TRUE(cache.IsDirty(PageKey{1, 300}));
+  EXPECT_TRUE(cache.IsDirty(PageKey{2, 5}));
+  EXPECT_FALSE(cache.IsDirty(PageKey{1, 64}));
+  EXPECT_EQ(WriteBackAll(k, cache, 3, 256), 0u);  // No such inode.
+}
+
+// While one page is being written, a peer dirties a page behind the walk
+// and one ahead of it: the walk picks up the one ahead only, as a
+// page-by-page scan would.
+TEST(PageCache, WriteBackInodeSeesPagesDirtiedDuringTheWalk) {
+  Kernel k(QuietConfig());
+  SimDisk disk(&k);
+  PageCache cache(&k, &disk, 100);
+  cache.MarkDirty(PageKey{1, 3}, 3 * 8);
+  std::uint64_t written = 0;
+  auto syncer = [](PageCache& c, std::uint64_t* out) -> Task<void> {
+    *out = co_await c.WriteBackInode(1, 16);
+  };
+  auto dirtier = [](PageCache& c) -> Task<void> {
+    c.MarkDirty(PageKey{1, 2}, 2 * 8);
+    c.MarkDirty(PageKey{1, 10}, 10 * 8);
+    co_return;
+  };
+  k.Spawn("s", syncer(cache, &written));
+  k.Spawn("d", dirtier(cache));
+  k.RunUntilThreadsFinish();
+  EXPECT_EQ(written, 2u);
+  EXPECT_TRUE(cache.IsDirty(PageKey{1, 2}));
+  EXPECT_FALSE(cache.IsDirty(PageKey{1, 10}));
+}
+
+// Each way a page stops being dirty clears it from the walk too.
+TEST(PageCache, NothingIsLeftToWriteBackOnceEveryDirtyPageIsClean) {
+  Kernel k(QuietConfig());
+  SimDisk disk(&k);
+  PageCache cache(&k, &disk, 1);
+  cache.MarkDirty(PageKey{1, 0}, 0);
+  cache.MarkValid(PageKey{1, 1}, 8);  // Evicts dirty page 0.
+  EXPECT_FALSE(cache.IsDirty(PageKey{1, 0}));
+  EXPECT_EQ(WriteBackAll(k, cache, 1, 64), 0u);
+
+  cache.MarkDirty(PageKey{1, 70}, 70 * 8);
+  EXPECT_EQ(cache.FlushOlderThan(0), 1);
+  EXPECT_FALSE(cache.IsDirty(PageKey{1, 70}));
+  EXPECT_EQ(WriteBackAll(k, cache, 1, 128), 0u);
+
+  cache.MarkDirty(PageKey{1, 70}, 70 * 8);
+  auto syncer = [](PageCache& c) -> Task<void> {
+    co_await c.WriteBack(PageKey{1, 70});
+  };
+  k.Spawn("w", syncer(cache));
+  k.RunUntilThreadsFinish();
+  EXPECT_FALSE(cache.IsDirty(PageKey{1, 70}));
+  EXPECT_EQ(WriteBackAll(k, cache, 1, 128), 0u);
+  EXPECT_EQ(cache.FlushOlderThan(0), 0);
+  EXPECT_EQ(cache.writebacks(), 3u);
+}
+
+TEST(PageCache, FlushSubmitsInInodePageOrderWhenDirtiedInReverse) {
+  Kernel k(QuietConfig());
+  SimDisk disk(&k);
+  std::vector<std::uint64_t> submitted;
+  disk.SetRequestObserver(
+      [&submitted](const osim::DiskRequestInfo& info) {
+        submitted.push_back(info.lba);
+      });
+  PageCache cache(&k, &disk, 100);
+  const std::vector<PageKey> keys = {{2, 130}, {2, 64}, {2, 63},
+                                     {1, 65},  {1, 1},  {1, 0}};
+  const auto lba = [](const PageKey& key) {
+    return static_cast<std::uint64_t>(key.inode) * 100'000 + key.page * 8;
+  };
+  for (const PageKey& key : keys) {
+    cache.MarkDirty(key, lba(key));
+  }
+  EXPECT_EQ(cache.FlushOlderThan(0), static_cast<int>(keys.size()));
+  k.RunFor(osim::Cycles{1} << 36);
+  std::vector<std::uint64_t> want;
+  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+    want.push_back(lba(*it));
+  }
+  EXPECT_EQ(submitted, want);
+}
+
 TEST(PageCache, DropCleanKeepsDirty) {
   Kernel k(QuietConfig());
   SimDisk disk(&k);
