@@ -1,7 +1,7 @@
 // A minimal JSON emitter for machine-readable reports.
 //
 // The bench binaries (bench/bench_util.h) and the regression gate
-// (src/tools/gate_command.cc) both emit small JSON documents for CI to
+// (src/tools/run_command.cc) both emit small JSON documents for CI to
 // consume.  The repo deliberately has no third-party JSON dependency, so
 // this header provides the 20% of JSON that those writers need: objects
 // and arrays with insertion-ordered keys, strings, bools, finite doubles

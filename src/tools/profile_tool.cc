@@ -13,7 +13,6 @@
 #include "src/core/profile.h"
 #include "src/core/report.h"
 #include "src/core/sampling.h"
-#include "src/tools/gate_command.h"
 #include "src/tools/lint_command.h"
 #include "src/tools/run_command.h"
 
@@ -37,11 +36,10 @@ constexpr const char* kUsage =
     "                                       layers, lock order, races; the\n"
     "                                       OS-noise table + Eq.3 check\n"
     "                                       for noise scenarios\n"
+    "          [--baseline=PREFIX] [--json=FILE]\n"
+    "                                       profile-regression gate against\n"
+    "                                       the goldens at PREFIX\n"
     "  run     --list                       available scenarios\n"
-    "  gate    <scenario> [--baseline=PREFIX] [--raters=emd,chi2,ops,latency]\n"
-    "          [--threshold=X] [--trials=N] [--jobs=J] [--json=FILE]\n"
-    "          [--no-races] [--update]      profile-regression gate\n"
-    "  gate    --list                       gateable scenarios\n"
     "  lint    [paths...] [--rules=r1,r2] [--json=FILE]\n"
     "                                       in-tree static analysis\n"
     "  lint    --list-rules                 lint rule names\n"
@@ -332,10 +330,6 @@ int RunProfileTool(const std::vector<std::string>& args, std::ostream& out,
   if (cmd == "run" && n >= 2) {
     return RunRunCommand(std::vector<std::string>(args.begin() + 1, args.end()),
                          out, err);
-  }
-  if (cmd == "gate" && n >= 2) {
-    return RunGateCommand(
-        std::vector<std::string>(args.begin() + 1, args.end()), out, err);
   }
   if (cmd == "lint") {
     return RunLintCommand(

@@ -413,6 +413,7 @@ TEST_F(RunCommandReportTest, UsageErrorsExitOne) {
            {"race_fixture_counter", "--trials=abc"},
            {"race_fixture_counter", "--trials=1x"},
            {"race_fixture_counter", "--jobs=1.5"},
+           {"race_fixture_counter", "--jobs=-1"},
            {"race_fixture_counter", "--trials=0"},
            {"two", "scenarios"},
        }) {

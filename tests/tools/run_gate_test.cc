@@ -1,4 +1,4 @@
-#include "src/tools/gate_command.h"
+// The profile-regression gate: `osprof_tool run <scenario> --baseline=P`.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,11 @@
 #include <vector>
 
 #include "src/core/histogram.h"
+#include "src/core/layered.h"
 #include "src/core/profile.h"
+#include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/run_command.h"
 #include "tests/temp_dir.h"
 
 namespace ostools {
@@ -24,6 +27,16 @@ namespace {
 // that exercises several operations in one "fs"-layer profile set.
 constexpr const char* kScenario = "fig06";
 constexpr const char* kLayerSuffix = ".fs.prof";
+
+const std::string kGoldenDir = std::string(OSPROF_SOURCE_DIR) +
+                               "/tests/golden/";
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 class GateCommandTest : public ::testing::Test {
  protected:
@@ -38,7 +51,12 @@ class GateCommandTest : public ::testing::Test {
   int Run(std::vector<std::string> args) {
     out_.str("");
     err_.str("");
-    return RunGateCommand(args, out_, err_);
+    return RunRunCommand(args, out_, err_);
+  }
+
+  // Writes fig06's goldens to prefix_, as `run --out` does.
+  void WriteGolden() {
+    ASSERT_EQ(Run({kScenario, "--out=" + prefix_}), 0) << err_.str();
   }
 
   const ostest::TempDir tmp_;
@@ -52,12 +70,10 @@ class GateCommandTest : public ::testing::Test {
 TEST_F(GateCommandTest, UsageErrors) {
   EXPECT_EQ(Run({}), 1);
   EXPECT_NE(err_.str().find("usage:"), std::string::npos);
-  EXPECT_EQ(Run({kScenario, "--threshold=abc"}), 1);
-  EXPECT_EQ(Run({kScenario, "--threshold=0.5x"}), 1);
-  EXPECT_EQ(Run({kScenario, "--raters=emd,bogus"}), 1);
-  EXPECT_NE(err_.str().find("unknown rater"), std::string::npos);
   EXPECT_EQ(Run({kScenario, "--trials=0"}), 1);
   EXPECT_EQ(Run({kScenario, "--no-such-flag"}), 1);
+  EXPECT_EQ(Run({kScenario, "--json=" + json_path_}), 1);
+  EXPECT_NE(err_.str().find("--json needs --baseline"), std::string::npos);
 }
 
 TEST_F(GateCommandTest, ListPrintsScenarios) {
@@ -66,26 +82,46 @@ TEST_F(GateCommandTest, ListPrintsScenarios) {
   EXPECT_NE(out_.str().find("fig07_cifs"), std::string::npos);
 }
 
-TEST_F(GateCommandTest, UnknownScenarioExits2) {
-  EXPECT_EQ(Run({"no_such_scenario"}), 2);
-  EXPECT_NE(err_.str().find("unknown scenario"), std::string::npos);
-}
-
 TEST_F(GateCommandTest, MissingBaselineExits2) {
   EXPECT_EQ(Run({kScenario, "--baseline=" + prefix_ + "_absent"}), 2);
   EXPECT_NE(err_.str().find("missing baseline"), std::string::npos);
-  EXPECT_NE(err_.str().find("--update"), std::string::npos);
+  EXPECT_NE(err_.str().find("--out=" + prefix_ + "_absent"),
+            std::string::npos);
 }
 
+// A baseline that does not parse, or parses but fails its own checksum
+// (what `osprof_tool check` reports as CHECKSUM MISMATCH), is corrupt --
+// and it is rejected before --out writes anything.
 TEST_F(GateCommandTest, CorruptBaselineExits2) {
   std::ofstream(prefix_ + kLayerSuffix) << "this is not a profile set\n";
   EXPECT_EQ(Run({kScenario, "--baseline=" + prefix_}), 2);
-  EXPECT_NE(err_.str().find("corrupt baseline"), std::string::npos);
+  EXPECT_NE(err_.str().find("corrupt baseline " + prefix_ + kLayerSuffix),
+            std::string::npos);
+
+  std::string tampered =
+      ReadFile(kGoldenDir + std::string(kScenario) + kLayerSuffix);
+  const std::string close = "profile close recorded=2 ";
+  const std::size_t pos = tampered.find(close);
+  ASSERT_NE(pos, std::string::npos);
+  tampered.replace(pos, close.size(), "profile close recorded=7 ");
+  std::ofstream(perturbed_prefix_ + kLayerSuffix) << tampered;
+  CopyFile(kGoldenDir + std::string(kScenario) + ".layers",
+           perturbed_prefix_ + ".layers");
+  EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_,
+                 "--out=" + prefix_ + "_out"}),
+            2);
+  EXPECT_NE(err_.str().find("corrupt baseline " + perturbed_prefix_ +
+                            kLayerSuffix + ": checksum mismatch"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_FALSE(std::filesystem::exists(prefix_ + "_out" + kLayerSuffix));
 }
 
 TEST_F(GateCommandTest, UpdateRoundTripThenCleanGatePasses) {
-  ASSERT_EQ(Run({kScenario, "--update", "--baseline=" + prefix_}), 0);
-  EXPECT_NE(out_.str().find("updated"), std::string::npos);
+  WriteGolden();
+  EXPECT_NE(out_.str().find("wrote " + prefix_ + kLayerSuffix),
+            std::string::npos);
 
   // The written golden parses back to a non-empty set.
   std::ifstream golden_file(prefix_ + kLayerSuffix);
@@ -94,22 +130,22 @@ TEST_F(GateCommandTest, UpdateRoundTripThenCleanGatePasses) {
   EXPECT_GT(golden.size(), 0u);
   EXPECT_GT(golden.TotalOperations(), 0u);
 
-  // Re-running the deterministic scenario scores distance 0 everywhere.
+  // Re-running the deterministic scenario scores distance 0 everywhere,
+  // and the verdict closes the report.
   EXPECT_EQ(Run({kScenario, "--baseline=" + prefix_}), 0);
-  EXPECT_NE(out_.str().find("gate PASS"), std::string::npos);
+  const std::string pass_line = "\ngate PASS\n";
+  ASSERT_GE(out_.str().size(), pass_line.size());
+  EXPECT_EQ(out_.str().substr(out_.str().size() - pass_line.size()),
+            pass_line);
   EXPECT_EQ(out_.str().find("REGRESSION"), std::string::npos);
 }
 
 TEST_F(GateCommandTest, JsonVerdictSchema) {
-  ASSERT_EQ(Run({kScenario, "--update", "--baseline=" + prefix_}), 0);
+  WriteGolden();
   ASSERT_EQ(Run({kScenario, "--baseline=" + prefix_,
                  "--json=" + json_path_}),
             0);
-  std::ifstream json_file(json_path_);
-  ASSERT_TRUE(json_file.good());
-  std::stringstream buffer;
-  buffer << json_file.rdbuf();
-  const std::string json = buffer.str();
+  const std::string json = ReadFile(json_path_);
   EXPECT_NE(json.find("\"schema\": \"osprof-gate-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"scenario\": \"fig06\""), std::string::npos);
   EXPECT_NE(json.find("\"pass\": true"), std::string::npos);
@@ -129,9 +165,9 @@ TEST_F(GateCommandTest, JsonVerdictSchema) {
 // §5.3's calibration idea in reverse: perturb the golden by shifting every
 // peak up three buckets AND tripling its mass.  The shift moves the peaks
 // (EMD, Chi-square), the scaling changes the totals (total-ops,
-// total-latency) -- so every rater, run alone, must flag the regression.
+// total-latency) -- so every rater, on its own, must flag the regression.
 TEST_F(GateCommandTest, PerturbedBaselineFlaggedByEveryRater) {
-  ASSERT_EQ(Run({kScenario, "--update", "--baseline=" + prefix_}), 0);
+  WriteGolden();
   std::ifstream golden_file(prefix_ + kLayerSuffix);
   const osprof::ProfileSet golden = osprof::ProfileSet::Parse(golden_file);
 
@@ -161,64 +197,56 @@ TEST_F(GateCommandTest, PerturbedBaselineFlaggedByEveryRater) {
   // should fire here.
   CopyFile(prefix_ + ".layers", perturbed_prefix_ + ".layers");
 
-  for (const char* rater : {"emd", "chi2", "ops", "latency"}) {
-    EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_,
-                   std::string("--raters=") + rater}),
-              3)
-        << "rater " << rater << " missed the perturbation\n"
-        << out_.str();
-    EXPECT_NE(out_.str().find("gate REGRESSION"), std::string::npos) << rater;
-    EXPECT_NE(out_.str().find("flagged:"), std::string::npos) << rater;
-  }
-
-  // All four together, of course, also fail -- and the JSON says so.
   EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_,
                  "--json=" + json_path_}),
             3);
-  std::ifstream json_file(json_path_);
-  std::stringstream buffer;
-  buffer << json_file.rdbuf();
-  EXPECT_NE(buffer.str().find("\"pass\": false"), std::string::npos);
+  EXPECT_NE(out_.str().find("gate REGRESSION"), std::string::npos);
+  EXPECT_NE(out_.str().find("flagged:"), std::string::npos);
+  // Each rater's JSON entry, from its "rater" key to the next one, says
+  // that rater failed with at least one flagged operation.
+  const std::string json = ReadFile(json_path_);
+  for (const char* rater : {"emd", "chi2", "ops", "latency"}) {
+    const std::size_t begin =
+        json.find(std::string("\"rater\": \"") + rater + "\"");
+    ASSERT_NE(begin, std::string::npos) << rater;
+    const std::string entry =
+        json.substr(begin, json.find("\"rater\":", begin + 1) - begin);
+    EXPECT_NE(entry.find("\"pass\": false"), std::string::npos)
+        << "rater " << rater << " missed the perturbation\n"
+        << entry;
+    EXPECT_NE(entry.find("\"flagged_ops\": ["), std::string::npos) << entry;
+    EXPECT_EQ(entry.find("\"flagged_ops\": []"), std::string::npos) << entry;
+  }
 }
 
 // The layered decomposition is scored for exactness: tampering with one
 // component's cycle count in the .layers golden fails the gate even when
 // every profile rater passes.
 TEST_F(GateCommandTest, LayersDecompositionDriftFailsGate) {
-  ASSERT_EQ(Run({kScenario, "--update", "--baseline=" + prefix_}), 0);
+  WriteGolden();
   CopyFile(prefix_ + kLayerSuffix, perturbed_prefix_ + kLayerSuffix);
-  std::string layers_text;
-  {
-    std::ifstream in(prefix_ + ".layers");
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    layers_text = buffer.str();
-  }
+  std::string layers_text = ReadFile(prefix_ + ".layers");
   const std::size_t pos = layers_text.find(" self ");
   ASSERT_NE(pos, std::string::npos);
   layers_text.insert(pos + 6, "9");  // Prepend a digit: cycles change.
   std::ofstream(perturbed_prefix_ + ".layers") << layers_text;
 
-  EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_}), 3);
+  EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_,
+                 "--json=" + json_path_}),
+            3);
   EXPECT_NE(out_.str().find("DECOMPOSITION DRIFT"), std::string::npos);
   EXPECT_NE(out_.str().find("gate REGRESSION"), std::string::npos);
 
   // The JSON verdict carries the mismatch.
-  EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_,
-                 "--json=" + json_path_}),
-            3);
-  std::ifstream json_file(json_path_);
-  std::stringstream buffer;
-  buffer << json_file.rdbuf();
-  EXPECT_NE(buffer.str().find("\"layered\""), std::string::npos);
-  EXPECT_NE(buffer.str().find("\"mismatches\""), std::string::npos);
+  const std::string json = ReadFile(json_path_);
+  EXPECT_NE(json.find("\"layered\""), std::string::npos);
+  EXPECT_NE(json.find("\"mismatches\""), std::string::npos);
 }
 
 // A scenario that records layered data cannot gate without its .layers
 // golden: profiles alone no longer prove the run matches.
 TEST_F(GateCommandTest, MissingLayersBaselineExits2) {
-  ASSERT_EQ(Run({kScenario, "--update", "--baseline=" + prefix_}), 0);
+  WriteGolden();
   std::remove((prefix_ + ".layers").c_str());
   EXPECT_EQ(Run({kScenario, "--baseline=" + prefix_}), 2);
   EXPECT_NE(err_.str().find("missing baseline"), std::string::npos);
@@ -229,47 +257,37 @@ TEST_F(GateCommandTest, MissingLayersBaselineExits2) {
 // invariant the CI gate job enforces, checked here so `ctest` catches a
 // stale golden before a push does.
 TEST_F(GateCommandTest, CommittedGoldenCorpusPasses) {
-  const std::string golden_dir = std::string(OSPROF_SOURCE_DIR) +
-                                 "/tests/golden/";
   for (const char* scenario : {"fig01", "fig06"}) {
-    EXPECT_EQ(Run({scenario, "--baseline=" + golden_dir + scenario}), 0)
+    EXPECT_EQ(Run({scenario, "--baseline=" + kGoldenDir + scenario}), 0)
         << scenario << ":\n"
         << out_.str() << err_.str();
   }
 }
 
 // The [races] verdict: a seeded fixture must race -- and that is its
-// passing state -- a clean scenario must not, and --no-races skips the
-// check while gating the identical profiles against the same goldens
-// (tracking consumes no simulated time).
+// passing state -- a clean scenario must not, and an untracked scenario
+// (scale_smoke) skips the check while gating its profiles.
 TEST_F(GateCommandTest, RacesVerdictCoversFixturesCleanRunsAndOptOut) {
-  const std::string golden_dir = std::string(OSPROF_SOURCE_DIR) +
-                                 "/tests/golden/";
   const std::string fixture = "race_fixture_counter";
-  EXPECT_EQ(Run({fixture, "--baseline=" + golden_dir + fixture,
+  EXPECT_EQ(Run({fixture, "--baseline=" + kGoldenDir + fixture,
                  "--json=" + json_path_}),
             0)
       << out_.str() << err_.str();
   EXPECT_NE(out_.str().find("[races] fixture raced as designed:"),
             std::string::npos);
-  std::ifstream json_file(json_path_);
-  ASSERT_TRUE(json_file.good());
-  std::stringstream buffer;
-  buffer << json_file.rdbuf();
-  const std::string json = buffer.str();
+  const std::string json = ReadFile(json_path_);
   EXPECT_NE(json.find("\"races\""), std::string::npos);
   EXPECT_NE(json.find("\"expected\": true"), std::string::npos);
   EXPECT_NE(json.find("\"found\": true"), std::string::npos);
   EXPECT_NE(json.find("RaceIncrementOnce"), std::string::npos);
 
-  EXPECT_EQ(Run({fixture, "--baseline=" + golden_dir + fixture,
-                 "--no-races"}),
+  EXPECT_EQ(Run({"scale_smoke", "--baseline=" + kGoldenDir + "scale_smoke"}),
             0)
       << out_.str() << err_.str();
   EXPECT_NE(out_.str().find("[races] tracking disabled; skipped"),
             std::string::npos);
 
-  EXPECT_EQ(Run({kScenario, "--baseline=" + golden_dir + kScenario}), 0)
+  EXPECT_EQ(Run({kScenario, "--baseline=" + kGoldenDir + kScenario}), 0)
       << out_.str() << err_.str();
   EXPECT_NE(out_.str().find("[races] no data races"), std::string::npos);
 }
@@ -283,8 +301,7 @@ TEST(GateCoverageTest, EveryScenarioIsGatedOrExempt) {
        "output with perfbench/reference/scale_1m.* on every run"},
   };
   std::set<std::string> gated;
-  for (const auto& entry : std::filesystem::directory_iterator(
-           std::string(OSPROF_SOURCE_DIR) + "/tests/golden")) {
+  for (const auto& entry : std::filesystem::directory_iterator(kGoldenDir)) {
     const std::string file = entry.path().filename().string();
     if (entry.path().extension() == ".prof") {
       gated.insert(file.substr(0, file.find('.')));
@@ -296,8 +313,9 @@ TEST(GateCoverageTest, EveryScenarioIsGatedOrExempt) {
     if (it == exempt.end()) {
       EXPECT_EQ(gated.count(name), 1u)
           << name << " has no tests/golden/" << name
-          << ".*.prof; generate it with `osprof_tool gate " << name
-          << " --update` or exempt it here with a reason";
+          << ".*.prof; generate it with `osprof_tool run " << name
+          << " --out=tests/golden/" << name
+          << "` or exempt it here with a reason";
     } else {
       EXPECT_EQ(gated.count(name), 0u)
           << name << " is exempt (" << it->second << ") but has a golden";
@@ -308,6 +326,64 @@ TEST(GateCoverageTest, EveryScenarioIsGatedOrExempt) {
         << "exempt scenario " << name << " is not registered";
   }
 }
+
+// SimRace costs zero simulated time: every race-tracked scenario, run with
+// tracking off, still reproduces its committed goldens byte for byte.
+class UntrackedRunTest : public ::testing::TestWithParam<std::string> {};
+
+std::vector<std::string> TrackedScenarios() {
+  const osrunner::ScenarioRegistry& registry = osrunner::BuiltinScenarios();
+  std::vector<std::string> tracked;
+  for (const std::string& name : registry.Names()) {
+    if (registry.Find(name)->track_races) {
+      tracked.push_back(name);
+    }
+  }
+  return tracked;
+}
+
+TEST_P(UntrackedRunTest, MatchesGoldenByteForByte) {
+  const std::string& name = GetParam();
+  osrunner::Scenario untracked = *osrunner::BuiltinScenarios().Find(name);
+  untracked.track_races = false;
+  const osrunner::RunResult result =
+      osrunner::RunScenario(untracked, osrunner::RunOptions{});
+  ASSERT_FALSE(result.layers.empty());
+
+  std::set<std::string> written;
+  std::map<std::string, osprof::LayeredProfileSet> layered;
+  for (const auto& [layer, lr] : result.layers) {
+    const std::string file = name + "." + layer + ".prof";
+    written.insert(file);
+    EXPECT_EQ(lr.merged.ToString(), ReadFile(kGoldenDir + file)) << file;
+    if (!lr.layered.empty()) {
+      layered.emplace(layer, lr.layered);
+    }
+  }
+  if (!layered.empty()) {
+    const std::string file = name + ".layers";
+    written.insert(file);
+    std::ostringstream text;
+    osprof::SerializeLayers(layered, text);
+    EXPECT_EQ(text.str(), ReadFile(kGoldenDir + file)) << file;
+  }
+  // No golden of this scenario goes unchecked.
+  std::set<std::string> goldens;
+  for (const auto& entry : std::filesystem::directory_iterator(kGoldenDir)) {
+    const std::string file = entry.path().filename().string();
+    if (file.substr(0, file.find('.')) == name) {
+      goldens.insert(file);
+    }
+  }
+  EXPECT_EQ(written, goldens);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrackedScenarios, UntrackedRunTest,
+    ::testing::ValuesIn(TrackedScenarios()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace ostools
